@@ -107,14 +107,14 @@ void Run() {
 /// S6b — concurrent propagation waves driven from the worker pool itself.
 ///
 /// One-shot tasks fan out over the sharded run queues; each task fires a
-/// propagation wave on one of eight triggered chains whose origins sit on
-/// distinct wave stripes. With W > 1 workers the waves execute truly
+/// propagation wave on one of eight independent triggered chains. Waves
+/// take no wave lock, so with W > 1 workers they execute truly
 /// concurrently (on multi-core hosts), and idle workers steal due tasks
 /// from busy siblings, so throughput tracks core count rather than the
 /// placement of the initial round-robin pushes.
 void BM_ConcurrentWaves() {
   Banner("S6b", "concurrent waves from the worker pool",
-         "sharded run queues + striped wave locks: one-shot wave tasks "
+         "sharded run queues + per-origin wave plans: one-shot wave tasks "
          "spread over per-worker queues and execute in parallel; stolen "
          "tasks show the pool rebalancing itself");
   constexpr int kChains = 8;
@@ -124,11 +124,7 @@ void BM_ConcurrentWaves() {
   TablePrinter table({"workers", "tasks", "ns/wave", "waves/s", "stolen"});
   for (size_t workers : {size_t(1), size_t(2), size_t(4), size_t(8)}) {
     ThreadPoolScheduler scheduler(workers);
-    // Explicit stripe count so the bench exercises striping even on hosts
-    // where hardware_concurrency would default it to 1. With depth-4
-    // chains and round-robin assignment, origins land on stripes 4*c mod
-    // 16: at most two of the eight origins share a stripe.
-    MetadataManager manager(scheduler, 16);
+    MetadataManager manager(scheduler);
     ProviderOnly op("op");
     std::atomic<uint64_t> values[kChains];
     std::vector<MetadataSubscription> subs;

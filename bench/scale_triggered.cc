@@ -203,20 +203,18 @@ void RunWaveThroughput(bool quick) {
 }
 
 // ---------------------------------------------------------------------------
-// S4c — multi-origin concurrent waves over striped propagation locks.
+// S4c — multi-origin concurrent waves over immutable per-origin wave plans.
 // ---------------------------------------------------------------------------
 
 /// Fixture: `kParOrigins` independent triggered chains of depth `kParDepth`
-/// on one provider. With `kParStripes` = kParOrigins * kParDepth and
-/// round-robin stripe assignment, every chain's source lands on its own
-/// stripe, so disjoint drivers never contend on a propagation lock.
+/// on one provider. A wave takes only the shared structure lock and walks
+/// its origin's own plan, so disjoint drivers share no wave lock.
 constexpr int kParOrigins = 8;
 constexpr int kParDepth = 8;
-constexpr size_t kParStripes = size_t(kParOrigins) * size_t(kParDepth);
 
 struct ParallelFixture {
   VirtualTimeScheduler scheduler;
-  MetadataManager manager{scheduler, kParStripes};
+  MetadataManager manager{scheduler};
   ProviderOnly op{"op"};
   std::atomic<uint64_t> values[kParOrigins];
   std::vector<MetadataSubscription> subs;
@@ -241,9 +239,7 @@ struct ParallelFixture {
                                std::to_string(i - 1))
                 .WithEvaluator([](EvalContext& ctx) { return ctx.Dep(0); }));
       }
-      // Subscribing the tail instantiates the whole chain deps-first, so
-      // chain c's source is handler number c * kParDepth and round-robin
-      // stripe assignment gives each origin a private stripe.
+      // Subscribing the tail instantiates the whole chain deps-first.
       subs.push_back(
           manager
               .Subscribe(op, "c" + std::to_string(c) + "_t" +
@@ -251,8 +247,7 @@ struct ParallelFixture {
               .value());
       origins.push_back(base);
     }
-    // Build every chain's wave plan and grow the stripes' scratch buffers
-    // before any driver thread starts.
+    // Build every chain's wave plan before any driver thread starts.
     for (int c = 0; c < kParOrigins; ++c) {
       for (int i = 0; i < 16; ++i) {
         values[c].fetch_add(1, std::memory_order_relaxed);
@@ -280,8 +275,8 @@ struct ParallelResult {
 /// assignments: "single_origin" (everyone hammers chain 0 — the direct
 /// comparison point against the S4b single-threaded numbers), "disjoint"
 /// (the kParOrigins chains are partitioned across drivers, so no two
-/// drivers ever touch the same stripe) and "overlapping" (every driver
-/// cycles through all chains, maximising stripe contention).
+/// drivers ever fire the same origin) and "overlapping" (every driver
+/// cycles through all chains, maximising contention on shared handlers).
 ParallelResult MeasureParallelWaves(int drivers, const char* mode,
                                     uint64_t waves_per_driver) {
   ParallelFixture fx;
@@ -311,7 +306,7 @@ ParallelResult MeasureParallelWaves(int drivers, const char* mode,
           schedule.push_back((c + d) % kParOrigins);
         }
       }
-      // Fault in this thread's stripe-mask slot and warm its caches.
+      // Warm this thread's caches before the timed loop.
       for (int i = 0; i < 4; ++i) fx.Fire(schedule[0]);
       ready.fetch_add(1, std::memory_order_acq_rel);
       while (!start.load(std::memory_order_acquire)) {
@@ -355,14 +350,14 @@ ParallelResult MeasureParallelWaves(int drivers, const char* mode,
 
 void RunParallelWaves(bool quick) {
   Banner("S4c", "multi-origin concurrent propagation waves",
-         "striped wave locks let disjoint origins propagate in parallel: "
-         "aggregate waves/s scales with driver threads (on multi-core "
-         "hosts) and stays allocation-free; overlapping origins serialize "
-         "only per stripe");
+         "waves take no wave lock, only the shared structure lock and the "
+         "origin's immutable plan: aggregate waves/s scales with driver "
+         "threads (on multi-core hosts) and stays allocation-free; "
+         "overlapping origins contend only on shared handlers");
   unsigned hc = std::thread::hardware_concurrency();
-  std::printf("host hardware concurrency: %u (stripes: %zu, origins: %d, "
-              "chain depth: %d)\n",
-              hc, kParStripes, kParOrigins, kParDepth);
+  std::printf("host hardware concurrency: %u (origins: %d, chain depth: "
+              "%d)\n",
+              hc, kParOrigins, kParDepth);
   if (hc <= 1) {
     std::printf("note: single-core host — driver threads time-slice one "
                 "core, so aggregate throughput cannot scale here; the "
@@ -380,12 +375,12 @@ void RunParallelWaves(bool quick) {
   std::string json =
       "{\n  \"bench\": \"scale_triggered parallel waves\",\n"
       "  \"metric\": \"aggregate concurrent propagation-wave throughput "
-      "over striped wave locks\",\n";
+      "over immutable per-origin wave plans\",\n";
   char head[256];
   std::snprintf(head, sizeof(head),
-                "  \"hardware_concurrency\": %u,\n  \"stripes\": %zu,\n"
+                "  \"hardware_concurrency\": %u,\n"
                 "  \"origins\": %d,\n  \"depth\": %d,\n  \"results\": [\n",
-                hc, kParStripes, kParOrigins, kParDepth);
+                hc, kParOrigins, kParDepth);
   json += head;
   bool first = true;
   for (const char* mode : {"single_origin", "disjoint", "overlapping"}) {

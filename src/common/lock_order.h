@@ -78,24 +78,19 @@ inline constexpr int kRankMetadataStructure = 200; ///< MetadataManager::structu
 /// Subscribe/Retire) and while reading provider registries (checkpoint).
 inline constexpr int kRankDurabilityProviders = 250;
 inline constexpr int kRankOperatorState = 300;     ///< MetadataProvider::state_mu
-/// MetadataManager::wave_stripe_mu — the striped propagation locks (one per
-/// wave stripe; origins map to stripes, so waves from independent origins
-/// run concurrently). All stripes share this rank and class: a wave holds
-/// only its origin's stripe, and the rare all-stripes paths (plan rebuild,
-/// storm reconfiguration) acquire stripes in ascending index order while
-/// holding no other stripe — same-class acquisitions never form validator
-/// edges, and the ascending discipline keeps them deadlock-free.
-inline constexpr int kRankWaveStripe = 350;
 /// MetadataManager::pressure_mu — the overload-control (brownout) governor
 /// state. Taken under the exclusive structure lock (periodic-handler
-/// registration in Instantiate) and held while stretching handler cadences
-/// (handler period locks, scheduler locks).
+/// registration in Instantiate, deregistration in MaybeRemove) and held
+/// while stretching handler cadences (handler period locks, scheduler locks).
 inline constexpr int kRankPressureControl = 360;
-inline constexpr int kRankHandlerDependents = 400; ///< MetadataHandler::dependents_mu
 inline constexpr int kRankHandlerEval = 500;       ///< MetadataHandler::eval_mu
 /// PeriodicMetadataHandler::period_mu_ — guards the mechanism task handle
 /// while the overload governor swaps cadences; held across Schedule* calls.
 inline constexpr int kRankHandlerPeriod = 520;
+/// MetadataManager::storm_mu — storm-damping options and every origin's
+/// token bucket. Taken by wave admission, which a nested wave reaches with
+/// a handler's eval_mu held, and held across the flush's Schedule* call.
+inline constexpr int kRankStormDamping = 530;
 inline constexpr int kRankHandlerHealth = 540;     ///< MetadataHandler::health_mu
 /// MetadataHandler::value_mu — writer-serialization only since the seqlock
 /// value slot: readers (`Get()`/`LoadValue()`) never take it, writers hold
@@ -112,9 +107,14 @@ inline constexpr int kRankRegistry = 570;
 /// from evaluators and federation paths holding most metadata locks.
 inline constexpr int kRankNetEndpoint = 610;
 /// MetadataDurability::journal_mu — LSN assignment + group-commit buffer.
-/// Innermost of the metadata locks: value commits journal under value_mu,
-/// structure mutations journal under the exclusive structure lock.
+/// Innermost of the metadata locks that nest (only the dependents_mu leaf
+/// ranks above it): value commits journal under value_mu, structure
+/// mutations journal under the exclusive structure lock.
 inline constexpr int kRankDurabilityJournal = 580;
+/// MetadataHandler::dependents_mu — a leaf around the inverted-graph edge
+/// list. A wave-plan rebuild takes it, and a nested wave rebuilds with the
+/// firing handler's eval_mu held, so it ranks above every handler lock.
+inline constexpr int kRankHandlerDependents = 590;
 inline constexpr int kRankModules = 650;           ///< MetadataProvider::modules_mu
 inline constexpr int kRankScheduler = 700;         ///< scheduler queue locks
 /// TaskScheduler::overload_mu_ — admission/deadline accounting; taken while

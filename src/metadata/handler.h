@@ -227,7 +227,7 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   /// Token-bucket admission of propagation waves originating here, event
   /// coalescing while no token is available, and a circuit breaker that
   /// converts a storming origin to fixed-cadence batch refresh. Guarded by
-  /// this origin's wave stripe like WavePlan below.
+  /// the manager's `storm_mu`.
   struct StormState {
     double tokens = 0.0;
     /// kTimestampNever until the first damped wave request (lazy init:
@@ -244,29 +244,18 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
     bool breaker = false;
   };
 
-  /// \brief Cached flattened wave plan for waves originating at this handler
+  /// \brief Flattened wave plan for waves originating at this handler
   /// (manager fast path; see MetadataManager::PropagateFrom).
   ///
   /// `refresh` lists the triggered handlers of the affected closure in
   /// topological (dependencies-first) order. `epoch` is the manager's
   /// structure epoch the plan was built at; a mismatch means the dependency
   /// graph changed shape and the plan (including any raw pointers it holds)
-  /// must not be used. Guarded by this origin's wave stripe
-  /// (`MetadataManager::wave_stripe_mu`) — steady-state waves hold the
-  /// stripe the origin is pinned to, and plan rebuilds (which also write the
-  /// wave_mark_/wave_indegree_ scratch of handlers on *other* stripes) hold
-  /// ALL stripes. A cross-object guard Clang TSA cannot express, enforced by
-  /// the runtime lock-order validator and by construction (only the
-  /// propagation path, which holds the stripe, touches these fields).
+  /// must not be used. Immutable once published: a rebuild replaces the
+  /// whole plan, so a wave walks its own reference without a lock.
   struct WavePlan {
-    uint64_t epoch = 0;  ///< 0 = never built
+    uint64_t epoch = 0;
     std::vector<MetadataHandler*> refresh;
-    /// Re-entrant walks of this plan currently on the stack. A nested wave
-    /// on the same origin (fired by a refresh evaluator) must not rebuild
-    /// `refresh` while an outer walk iterates it; walking a plan that went
-    /// stale mid-wave is safe because handler destruction requires the
-    /// exclusive structure lock, which waves exclude by holding it shared.
-    int walk_depth = 0;
   };
 
   /// Health state machine (guarded by health_mu_).
@@ -331,20 +320,12 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
                                lockorder::kRankHandlerDependents};
   std::vector<MetadataHandler*> dependents_ PIPES_GUARDED_BY(dependents_mu_);
 
-  // Wave-plan cache and graph-coloring scratch used by the manager's
-  // propagation path. Guarded by the origin's wave stripe; the mark and
-  // in-degree scratch are additionally written during plan rebuilds, which
-  // hold ALL stripes (see the WavePlan doc comment); untouched by the
-  // handler's own code.
-  //
-  // The stripe index itself is written once during Instantiate (exclusive
-  // structure lock, before any wave can reach the handler) and immutable
-  // after — effectively const.
-  uint32_t wave_stripe_ = 0;  // pipes-analyze: unguarded(written once in Instantiate, then immutable)
-  WavePlan wave_plan_;      // pipes-analyze: unguarded(origin's MetadataManager::wave_stripe_mu)
-  uint64_t wave_mark_ = 0;  // pipes-analyze: unguarded(all wave stripes during rebuild) — last RebuildWavePlan stamp
-  int wave_indegree_ = 0;   // pipes-analyze: unguarded(all wave stripes during rebuild) — Kahn in-degree scratch
-  StormState storm_;        // pipes-analyze: unguarded(origin's MetadataManager::wave_stripe_mu) — per-origin damping state
+  /// This origin's current wave plan; null until the first wave. Loaded and
+  /// replaced whole by the manager's propagation path, never mutated.
+  std::atomic<std::shared_ptr<const WavePlan>> wave_plan_{nullptr};
+  /// Per-origin damping state; the manager's lock cannot be named here.
+  // pipes-analyze: unguarded(MetadataManager::storm_mu)
+  StormState storm_;
 
   // Guarded by the manager's structure lock, which cannot be named in a
   // PIPES_GUARDED_BY from here without a cyclic include.

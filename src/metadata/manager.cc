@@ -2,113 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
-#include <thread>
 #include <unordered_map>
 
 #include "metadata/persistence.h"
 
 namespace pipes {
-
-// ---------------------------------------------------------------------------
-// Per-thread held-stripe tracking
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Which wave stripes of which managers this thread currently holds. A flat
-/// thread_local array (no heap, no hashing) because the propagation fast
-/// path must stay allocation-free; kStripeSlots bounds how many *distinct*
-/// managers one thread can hold stripes of simultaneously — nested waves
-/// stay within one manager, so even 2 would do.
-struct ThreadStripeSlot {
-  const void* manager = nullptr;
-  uint64_t mask = 0;
-};
-constexpr int kStripeSlots = 8;
-thread_local ThreadStripeSlot t_stripes[kStripeSlots];
-
-/// The held-stripe mask slot for `manager`, creating one when absent.
-uint64_t* StripeMaskSlot(const void* manager) {
-  ThreadStripeSlot* free_slot = nullptr;
-  for (auto& slot : t_stripes) {
-    if (slot.manager == manager) return &slot.mask;
-    if (slot.manager == nullptr && free_slot == nullptr) free_slot = &slot;
-  }
-  assert(free_slot != nullptr &&
-         "thread holds wave stripes of too many managers at once");
-  free_slot->manager = manager;
-  free_slot->mask = 0;
-  return &free_slot->mask;
-}
-
-/// Returns an emptied slot to the pool.
-void ReleaseStripeSlotIfEmpty(const void* manager, const uint64_t* mask) {
-  if (*mask != 0) return;
-  for (auto& slot : t_stripes) {
-    if (slot.manager == manager) {
-      slot.manager = nullptr;
-      return;
-    }
-  }
-}
-
-/// \brief Scoped acquisition of one wave stripe under the stripe protocol.
-///
-/// Blocking when the thread holds no stripe of this manager (it cannot then
-/// be part of a stripe wait cycle) or already holds exactly this stripe
-/// (recursive re-entry). Otherwise — a nested wave crossing stripes — only a
-/// try_lock: blocking there could close an ABBA cycle between two in-flight
-/// waves, so on contention the guard stays disengaged and the caller defers
-/// the wave. Tracks the held-stripe mask so nested frames see the protocol
-/// state.
-class ScopedStripe {
- public:
-  ScopedStripe(RecursiveMutex& mu, const void* manager, uint64_t bit)
-      : mu_(mu), manager_(manager), bit_(bit), mask_(StripeMaskSlot(manager)) {
-    top_level_ = *mask_ == 0;
-    const bool already_held = (*mask_ & bit_) != 0;
-    if (top_level_ || already_held) {
-      mu_.lock();
-      engaged_ = true;
-    } else {
-      engaged_ = mu_.try_lock();
-    }
-    if (engaged_) {
-      newly_held_ = !already_held;
-      *mask_ |= bit_;
-    } else {
-      ReleaseStripeSlotIfEmpty(manager_, mask_);
-    }
-  }
-
-  ~ScopedStripe() {
-    if (engaged_) {
-      if (newly_held_) *mask_ &= ~bit_;
-      mu_.unlock();
-    }
-    ReleaseStripeSlotIfEmpty(manager_, mask_);
-  }
-
-  ScopedStripe(const ScopedStripe&) = delete;
-  ScopedStripe& operator=(const ScopedStripe&) = delete;
-
-  /// False only for a contended nested cross-stripe acquisition.
-  bool engaged() const { return engaged_; }
-  /// True when the thread held no stripe of this manager on entry.
-  bool top_level() const { return top_level_; }
-
- private:
-  RecursiveMutex& mu_;
-  const void* manager_;
-  uint64_t bit_;
-  uint64_t* mask_;
-  bool engaged_ = false;
-  bool top_level_ = false;
-  bool newly_held_ = false;
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // MetadataSubscription
@@ -250,19 +148,8 @@ const char* PressureStateToString(PressureState s) {
   return "unknown";
 }
 
-MetadataManager::MetadataManager(TaskScheduler& scheduler, size_t wave_stripes)
-    : scheduler_(scheduler) {
-  if (wave_stripes == 0) {
-    wave_stripes = std::thread::hardware_concurrency();
-    if (wave_stripes == 0) wave_stripes = 1;
-  }
-  // Clamped to 64 so a stripe set always fits one held-stripe bitmask.
-  wave_stripes = std::min<size_t>(std::max<size_t>(wave_stripes, 1), 64);
-  stripes_.reserve(wave_stripes);
-  for (size_t i = 0; i < wave_stripes; ++i) {
-    stripes_.push_back(std::make_unique<WaveStripe>());
-  }
-}
+MetadataManager::MetadataManager(TaskScheduler& scheduler)
+    : scheduler_(scheduler) {}
 
 MetadataManager::~MetadataManager() {
   // Stop durability first: its flush/checkpoint tasks walk manager state.
@@ -400,13 +287,6 @@ std::shared_ptr<MetadataHandler> MetadataManager::Instantiate(
       break;
   }
 
-  // Pin the handler to a wave stripe for life. Round-robin instead of a
-  // pointer hash: with ≤ stripe-count origins (the common bench and test
-  // shape) every origin lands on its own stripe, so independent waves never
-  // share a lock by accident of address alignment.
-  handler->wave_stripe_ = static_cast<uint32_t>(
-      stripe_seq_.fetch_add(1, std::memory_order_relaxed) % stripes_.size());
-
   // Wire the inverted dependency graph and internal reference counts.
   for (const auto& dep : handler->dependencies()) {
     dep->AddDependent(handler.get());
@@ -501,6 +381,15 @@ void MetadataManager::MaybeRemove(
   BumpStructureEpoch();
 
   handler->Deactivate();
+  if (handler->mechanism() == UpdateMechanism::kPeriodic) {
+    // The governor's list holds only included handlers; an entry left
+    // behind would pin its control block until the next pressure change.
+    MutexLock plock(pressure_mu_);
+    std::erase_if(periodic_handlers_,
+                  [&](const std::weak_ptr<MetadataHandler>& w) {
+                    return w.lock() == handler;
+                  });
+  }
   // A retired handler's owner is gone (or going): its registry and the
   // monitoring hooks (which take the provider) must not be touched.
   if (!handler->retired()) {
@@ -579,171 +468,63 @@ void MetadataManager::RefreshContained(MetadataHandler& h, Timestamp now) {
   }
 }
 
-void MetadataManager::NaivePropagate(MetadataHandler& h, Timestamp now,
-                                     int depth) {
-  // Recursion bound as a safety net; the dependency graph is acyclic, but
-  // diamonds make this exponential — which is the point of the ablation.
-  if (depth > 64) return;
-  for (MetadataHandler* d : h.dependents()) {
-    if (d->mechanism() == UpdateMechanism::kTriggered) {
-      RefreshContained(*d, now);
-      stats_wave_refreshes_.fetch_add(1, std::memory_order_relaxed);
-      NaivePropagate(*d, now, depth + 1);
-    } else if (d->mechanism() == UpdateMechanism::kOnDemand) {
-      NaivePropagate(*d, now, depth + 1);
-    }
-  }
-}
-
 void MetadataManager::PropagateFrom(MetadataHandler& origin, Timestamp now) {
   SharedLock lock(structure_mu_);
-  WaveStripe& stripe = *stripes_[origin.wave_stripe_];
-  ScopedStripe hold(stripe.mu, this, uint64_t{1} << origin.wave_stripe_);
-  if (!hold.engaged()) {
-    // A nested wave (fired from inside another wave's refresh) crossing into
-    // a stripe another thread's wave holds right now. Blocking here could
-    // deadlock two in-flight waves against each other, so hand the wave to
-    // the scheduler and let it re-fire top-level.
-    DeferWave(origin);
-    return;
+  if (storm_damping_enabled_.load(std::memory_order_relaxed)) {
+    MutexLock storm(storm_mu_);
+    if (!AdmitWave(origin, now)) return;
   }
-  if (storm_damping_enabled_.load(std::memory_order_relaxed) &&
-      !AdmitWave(origin, now)) {
-    return;
-  }
-  RunWaveLocked(origin, now, hold.top_level());
+  RunWave(origin, now);
 }
 
-void MetadataManager::DeferWave(MetadataHandler& origin) {
-  stats_waves_deferred_.fetch_add(1, std::memory_order_relaxed);
-  // weak_ptr, not &origin: the origin may retire before the scheduler runs
-  // the task. The deferred wave re-enters PropagateFrom from a worker thread
-  // holding no stripes, so it blocks on the contended stripe instead of
-  // deferring again. Under overload the scheduler may shed the task — an
-  // acceptable loss, since metadata is last-writer-wins and the next event
-  // from this origin propagates the same state.
-  std::weak_ptr<MetadataHandler> weak = origin.weak_from_this();
-  scheduler_.ScheduleAt(clock().Now(), [this, weak] {
-    std::shared_ptr<MetadataHandler> h = weak.lock();
-    if (h == nullptr || h->retired()) return;
-    PropagateFrom(*h, clock().Now());
-  });
-}
-
-void MetadataManager::RunWaveLocked(MetadataHandler& origin, Timestamp now,
-                                    bool can_rebuild) {
-  if (propagation_mode() == PropagationMode::kNaiveRecursive) {
-    stats_waves_.fetch_add(1, std::memory_order_relaxed);
-    NaivePropagate(origin, now, 0);
-    return;
-  }
-
+void MetadataManager::RunWave(MetadataHandler& origin, Timestamp now) {
   // Fast path: on an unchanged graph, a wave is one epoch compare and a
   // linear walk over the cached flattened plan — no set, no map, no Kahn
   // re-run, and zero heap allocations. Read the epoch *before* any rebuild
   // so the stamp is conservative: a structural change racing with the
   // rebuild (possible only for lock-free bumpers like handler retirement)
   // makes the fresh plan look stale and costs one extra rebuild, never a
-  // stale walk. Plans stay valid mid-wave because waves hold the structure
-  // lock shared while structural changes need it exclusively.
-  uint64_t epoch = structure_epoch();
-  MetadataHandler::WavePlan& plan = origin.wave_plan_;
-  if (plan.epoch != epoch && plan.walk_depth == 0) {
-    if (!can_rebuild) {
-      // Rebuilding takes ALL stripes from an empty hold set; a nested wave
-      // already holds at least one, so it cannot rebuild here. Defer instead
-      // of walking a stale plan. Counted as deferred, not as a wave.
-      DeferWave(origin);
-      return;
-    }
-    if (RebuildUnderAllStripes(origin)) {
-      stats_wave_plan_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // A concurrent rebuild won the race while our stripe was released.
-      stats_wave_plan_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
+  // stale walk. A nested wave finding a stale plan rebuilds it right here,
+  // like any other wave.
+  const uint64_t epoch = structure_epoch();
+  std::shared_ptr<const MetadataHandler::WavePlan> plan =
+      origin.wave_plan_.load(std::memory_order_acquire);
+  if (plan == nullptr || plan->epoch != epoch) {
+    plan = RebuildWavePlan(origin, epoch);
+    origin.wave_plan_.store(plan, std::memory_order_release);
+    stats_wave_plan_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   } else {
     stats_wave_plan_hits_.fetch_add(1, std::memory_order_relaxed);
   }
   stats_waves_.fetch_add(1, std::memory_order_relaxed);
 
-  if (plan.refresh.empty()) return;
-  ++plan.walk_depth;
-  for (MetadataHandler* h : plan.refresh) {
+  if (plan->refresh.empty()) return;
+  for (MetadataHandler* h : plan->refresh) {
     RefreshContained(*h, now);
   }
-  --plan.walk_depth;
-  stats_wave_refreshes_.fetch_add(plan.refresh.size(),
+  stats_wave_refreshes_.fetch_add(plan->refresh.size(),
                                   std::memory_order_relaxed);
 }
 
-bool MetadataManager::RebuildUnderAllStripes(MetadataHandler& origin) {
-  // The plan closure may span handlers pinned to any stripe (its wave_mark_
-  // and wave_indegree_ scratch fields are written during a rebuild), so a
-  // rebuild quiesces every stripe. Deadlock-free by construction: release
-  // the origin's stripe first, then acquire all stripes in ascending index
-  // order from an empty hold set — every all-stripes path in the manager
-  // ascends the same way.
-  WaveStripe& origin_stripe = *stripes_[origin.wave_stripe_];
-  uint64_t* mask = StripeMaskSlot(this);
-  const uint64_t origin_bit = uint64_t{1} << origin.wave_stripe_;
-  assert(*mask == origin_bit && "rebuild caller must hold exactly its stripe");
-  *mask &= ~origin_bit;
-  origin_stripe.mu.unlock();
-
-  for (auto& s : stripes_) s->mu.lock();
-  *mask |= (stripes_.size() == 64)
-               ? ~uint64_t{0}
-               : ((uint64_t{1} << stripes_.size()) - 1);
-
-  // Re-check staleness: another thread may have rebuilt this origin's plan
-  // during the unlocked window above.
-  const uint64_t epoch = structure_epoch();
-  const bool rebuilt =
-      origin.wave_plan_.epoch != epoch && origin.wave_plan_.walk_depth == 0;
-  if (rebuilt) RebuildWavePlan(origin, epoch);
-
-  // Release every stripe but the origin's; the caller continues its wave
-  // holding exactly what it held before.
-  for (size_t i = 0; i < stripes_.size(); ++i) {
-    if (i == origin.wave_stripe_) continue;
-    *mask &= ~(uint64_t{1} << i);
-    stripes_[i]->mu.unlock();
-  }
-  *mask = origin_bit;
-  return rebuilt;
-}
-
-void MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
-  // Collect the affected closure: dependents reachable through triggered and
-  // on-demand handlers. Periodic handlers update on their own cadence and
-  // static handlers never change, so the wave does not continue past them.
-  // Membership ("visited") is a per-handler stamp compare against this
-  // rebuild's wave stamp — no hash set, nothing to clear. The stamp counter
-  // is atomic so stamps stay process-unique, but the marks themselves are
-  // plain fields: rebuilds serialize on the all-stripes discipline.
-  const uint64_t stamp =
-      wave_stamp_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Scratch lives in the origin's stripe (sized once, reused forever). The
-  // lambdas below are analyzed as separate functions by Clang TSA, which
-  // cannot see this frame's dynamic stripe capability; bind the buffers here.
-  WaveStripe& stripe = *stripes_[origin.wave_stripe_];
-  std::vector<MetadataHandler*>& closure = stripe.scratch_closure;
-  std::vector<MetadataHandler*>& ready = stripe.scratch_ready;
-
-  // Iterate a handler's dependents in place (under its dependents lock,
-  // rank above the wave stripes) instead of via dependents(), whose snapshot
-  // copy would allocate per handler per rebuild.
+std::shared_ptr<const MetadataHandler::WavePlan>
+MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
+  // Iterate a handler's dependents in place (under its dependents lock, a
+  // leaf) instead of via dependents(), whose snapshot copy would allocate
+  // per handler.
   auto for_each_dependent = [](MetadataHandler& h, auto&& fn) {
     MutexLock deps_lock(h.dependents_mu_);
     for (MetadataHandler* d : h.dependents_) fn(d);
   };
 
-  closure.clear();
+  // Collect the affected closure: dependents reachable through triggered and
+  // on-demand handlers. Periodic handlers update on their own cadence and
+  // static handlers never change, so the wave does not continue past them.
+  // `indegree` is both the closure's membership set and, below, Kahn's
+  // in-degree table.
+  std::vector<MetadataHandler*> closure;
+  std::unordered_map<MetadataHandler*, int> indegree;
   auto discover = [&](MetadataHandler* d) {
-    if (d->wave_mark_ == stamp) return;
-    d->wave_mark_ = stamp;
-    closure.push_back(d);
+    if (indegree.emplace(d, 0).second) closure.push_back(d);
   };
   for_each_dependent(origin, discover);
   for (size_t i = 0; i < closure.size(); ++i) {
@@ -752,44 +533,38 @@ void MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
     for_each_dependent(*h, discover);
   }
 
-  MetadataHandler::WavePlan& plan = origin.wave_plan_;
-  plan.refresh.clear();
-  plan.epoch = epoch;
-  if (closure.empty()) return;
+  auto plan = std::make_shared<MetadataHandler::WavePlan>();
+  plan->epoch = epoch;
+  if (closure.empty()) return plan;
 
   // Order the closure topologically (dependencies-first): Kahn's algorithm
-  // over the dependency edges restricted to the closure, with in-degrees in
-  // the handlers' scratch field and the ready queue consumed by index. This
-  // is the paper's "update order is basically determined by the inverted
-  // dependency graph" (§3.2.3); flattening only the triggered handlers into
-  // the plan guarantees each refreshes at most once per wave with all its
-  // affected inputs already up to date.
+  // over the dependency edges restricted to the closure, with the ready
+  // queue consumed by index. This is the paper's "update order is basically
+  // determined by the inverted dependency graph" (§3.2.3); flattening only
+  // the triggered handlers into the plan guarantees each refreshes at most
+  // once per wave with all its affected inputs already up to date.
   for (MetadataHandler* h : closure) {
-    int deg = 0;
+    int& deg = indegree[h];
     for (const auto& dep : h->dependencies()) {
-      if (dep->wave_mark_ == stamp) ++deg;
+      if (indegree.count(dep.get()) > 0) ++deg;
     }
-    h->wave_indegree_ = deg;
   }
-  ready.clear();
+  std::vector<MetadataHandler*> ready;
   for (MetadataHandler* h : closure) {
-    if (h->wave_indegree_ == 0) ready.push_back(h);
+    if (indegree[h] == 0) ready.push_back(h);
   }
-  size_t processed = 0;
   for (size_t i = 0; i < ready.size(); ++i) {
     MetadataHandler* h = ready[i];
-    ++processed;
     if (h->mechanism() == UpdateMechanism::kTriggered) {
-      plan.refresh.push_back(h);
+      plan->refresh.push_back(h);
     }
     for_each_dependent(*h, [&](MetadataHandler* d) {
-      if (d->wave_mark_ == stamp && --d->wave_indegree_ == 0) {
-        ready.push_back(d);
-      }
+      auto it = indegree.find(d);
+      if (it != indegree.end() && --it->second == 0) ready.push_back(d);
     });
   }
-  assert(processed == closure.size() && "dependency cycle in propagation");
-  (void)processed;
+  assert(ready.size() == closure.size() && "dependency cycle in propagation");
+  return plan;
 }
 
 // ---------------------------------------------------------------------------
@@ -798,13 +573,9 @@ void MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
 
 void MetadataManager::EnableStormDamping(const StormDampingOptions& opts) {
   assert(opts.max_waves_per_sec > 0 && "damping needs a positive wave budget");
-  // Writing the options must quiesce every stripe: admission decisions read
-  // them under whichever stripe the wave holds. All stripes, ascending, from
-  // an empty hold set — the same discipline as a plan rebuild.
-  for (auto& s : stripes_) s->mu.lock();
+  MutexLock lock(storm_mu_);
   storm_options_ = opts;
   storm_damping_enabled_.store(true, std::memory_order_relaxed);
-  for (auto& s : stripes_) s->mu.unlock();
 }
 
 void MetadataManager::DisableStormDamping() {
@@ -812,7 +583,6 @@ void MetadataManager::DisableStormDamping() {
 }
 
 bool MetadataManager::AdmitWave(MetadataHandler& origin, Timestamp now) {
-  // Runs under the origin's wave stripe, which guards its StormState.
   MetadataHandler::StormState& st = origin.storm_;
   const StormDampingOptions& opt = storm_options_;
 
@@ -881,30 +651,31 @@ void MetadataManager::FlushStorm(const std::weak_ptr<MetadataHandler>& weak) {
   Timestamp now = clock().Now();
 
   SharedLock lock(structure_mu_);
-  // A flush runs as a scheduler task, so it holds no stripes on entry: the
-  // ScopedStripe blocks (top-level) and always engages.
-  WaveStripe& stripe = *stripes_[origin->wave_stripe_];
-  ScopedStripe hold(stripe.mu, this, uint64_t{1} << origin->wave_stripe_);
-  MetadataHandler::StormState& st = origin->storm_;
-  st.flush_scheduled = false;
-
-  if (st.coalesced_run == 0) {
-    // A whole deferral interval without one event: the storm is over.
-    if (st.breaker) {
-      st.breaker = false;
-      stats_breakers_now_.fetch_sub(1, std::memory_order_relaxed);
+  {
+    MutexLock storm(storm_mu_);
+    MetadataHandler::StormState& st = origin->storm_;
+    st.flush_scheduled = false;
+    if (st.coalesced_run == 0) {
+      // A whole deferral interval without one event: the storm is over.
+      if (st.breaker) {
+        st.breaker = false;
+        stats_breakers_now_.fetch_sub(1, std::memory_order_relaxed);
+      }
+      return;
     }
-    return;
+    st.coalesced_run = 0;
+    st.tokens = std::max(0.0, st.tokens - 1.0);
+    stats_storm_flushes_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  st.coalesced_run = 0;
-  st.tokens = std::max(0.0, st.tokens - 1.0);
-  stats_storm_flushes_.fetch_add(1, std::memory_order_relaxed);
-  RunWaveLocked(*origin, now, /*can_rebuild=*/true);
+  RunWave(*origin, now);
 
   // A tripped origin keeps batch-refreshing on the breaker cadence; the
-  // quiet-interval branch above is the only way out.
-  if (st.breaker && storm_damping_enabled_.load(std::memory_order_relaxed)) {
+  // quiet-interval branch above is the only way out. An event coalesced
+  // during the wave may already have armed the next flush.
+  if (!storm_damping_enabled_.load(std::memory_order_relaxed)) return;
+  MutexLock storm(storm_mu_);
+  MetadataHandler::StormState& st = origin->storm_;
+  if (st.breaker && !st.flush_scheduled) {
     ScheduleStormFlush(*origin, now + storm_options_.breaker_batch_interval);
   }
 }
@@ -1005,11 +776,9 @@ void MetadataManager::GovernorTick() {
 void MetadataManager::ApplyPressureFactorLocked(double factor) {
   const double cap = overload_options_.default_staleness_factor;
   uint64_t stretched = 0;
-  size_t live = 0;
-  for (size_t i = 0; i < periodic_handlers_.size(); ++i) {
-    std::shared_ptr<MetadataHandler> h = periodic_handlers_[i].lock();
+  for (const std::weak_ptr<MetadataHandler>& weak : periodic_handlers_) {
+    std::shared_ptr<MetadataHandler> h = weak.lock();
     if (h == nullptr || h->retired()) continue;
-    periodic_handlers_[live++] = periodic_handlers_[i];
     auto* ph = static_cast<PeriodicMetadataHandler*>(h.get());
     Duration before = ph->effective_period();
     Duration after = ph->ApplyDegradationFactor(factor, cap);
@@ -1020,7 +789,6 @@ void MetadataManager::ApplyPressureFactorLocked(double factor) {
     }
     if (after > ph->period()) ++stretched;
   }
-  periodic_handlers_.resize(live);
   stats_stretched_now_.store(stretched, std::memory_order_relaxed);
 }
 
@@ -1038,8 +806,6 @@ MetadataManagerStats MetadataManager::stats() const {
   s.wave_plan_hits = stats_wave_plan_hits_.load(std::memory_order_relaxed);
   s.wave_plan_rebuilds =
       stats_wave_plan_rebuilds_.load(std::memory_order_relaxed);
-  s.wave_stripes = stripes_.size();
-  s.waves_deferred = stats_waves_deferred_.load(std::memory_order_relaxed);
   s.eval_failures = stats_eval_failures_.load(std::memory_order_relaxed);
   s.evals_skipped = stats_evals_skipped_.load(std::memory_order_relaxed);
   s.degradations = stats_degradations_.load(std::memory_order_relaxed);

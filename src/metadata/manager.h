@@ -87,9 +87,9 @@ struct MetadataManagerStats {
   uint64_t events_fired = 0;       ///< manual event notifications
   uint64_t wave_plan_hits = 0;     ///< waves served by a cached plan
   uint64_t wave_plan_rebuilds = 0; ///< waves that re-derived their plan
-  uint64_t wave_stripes = 0;       ///< striped propagation locks (gauge)
-  /// Nested cross-stripe waves handed to the scheduler instead of blocking
-  /// (stripe busy, or a stale plan discovered from a nested frame).
+  /// Always 0: every wave, nested ones included, runs on the calling thread
+  /// and rebuilds a stale plan in place, so none is handed to the scheduler.
+  /// Kept so existing readers of this field keep compiling.
   uint64_t waves_deferred = 0;
 
   // Fault containment (see HandlerHealth / RetryPolicy).
@@ -141,17 +141,6 @@ struct MetadataManagerStats {
   uint64_t values_recovered = 0;         ///< set by RecoverFrom
   uint64_t corrupt_records_skipped = 0;  ///< CRC-failed records at recovery
   uint64_t torn_bytes_truncated = 0;     ///< torn journal tails removed
-};
-
-/// How update-propagation waves refresh dependent handlers.
-enum class PropagationMode {
-  /// The paper's design (§3.2.3): collect the affected closure and refresh
-  /// in topological (dependencies-first) order, each handler at most once.
-  kTopological,
-  /// Ablation baseline: recurse into dependents immediately per update.
-  /// Diamond shapes refresh handlers multiple times per wave ("glitches"),
-  /// possibly with inconsistent inputs.
-  kNaiveRecursive,
 };
 
 /// \brief Pressure state of the manager's overload governor — a brownout
@@ -218,11 +207,8 @@ struct StormDampingOptions {
 class MetadataManager {
  public:
   /// `scheduler` runs periodic updates and deferred events; it must outlive
-  /// the manager. `wave_stripes` is the number of striped propagation locks
-  /// (waves from origins on different stripes run concurrently): 0 picks
-  /// hardware_concurrency, and any value is clamped to [1, 64] so a stripe
-  /// set always fits one held-stripe bitmask.
-  explicit MetadataManager(TaskScheduler& scheduler, size_t wave_stripes = 0);
+  /// the manager.
+  explicit MetadataManager(TaskScheduler& scheduler);
   ~MetadataManager();
 
   MetadataManager(const MetadataManager&) = delete;
@@ -251,13 +237,14 @@ class MetadataManager {
   /// transitive dependents reachable through triggered/on-demand handlers
   /// are collected and triggered handlers among them are refreshed in
   /// topological (dependencies-first) order, each at most once per wave.
+  ///
+  /// The wave runs to completion on the calling thread, including a wave
+  /// started from inside another wave's refresh (an evaluator firing an
+  /// event): no wave is ever handed to the scheduler, so none can be shed.
   void PropagateFrom(MetadataHandler& origin, Timestamp now);
 
   /// The scheduler driving periodic updates.
   TaskScheduler& scheduler() { return scheduler_; }
-
-  /// Number of striped propagation locks (fixed at construction).
-  size_t wave_stripe_count() const { return stripes_.size(); }
 
   /// The clock shared with the scheduler.
   Clock& clock() { return scheduler_.clock(); }
@@ -267,16 +254,6 @@ class MetadataManager {
   ReentrantSharedMutex& structure_mutex()
       PIPES_RETURN_CAPABILITY(structure_mu_) {
     return structure_mu_;
-  }
-
-  /// Selects the propagation algorithm (default kTopological). The naive
-  /// mode exists for the ablation bench; production code should not use it.
-  /// Atomic so a configuration flip never tears against an in-flight wave.
-  void set_propagation_mode(PropagationMode mode) {
-    propagation_mode_.store(mode, std::memory_order_relaxed);
-  }
-  PropagationMode propagation_mode() const {
-    return propagation_mode_.load(std::memory_order_relaxed);
   }
 
   /// \name Overload control (pressure governor)
@@ -476,63 +453,47 @@ class MetadataManager {
   void MaybeRemove(const std::shared_ptr<MetadataHandler>& handler)
       PIPES_REQUIRES(structure_mu_);
 
-  /// Refreshes `h`'s dependents depth-first without deduplication.
-  void NaivePropagate(MetadataHandler& h, Timestamp now, int depth);
-
   /// Refreshes one handler in a wave with exception containment, so a
   /// faulting refresh cannot abort the wave.
   void RefreshContained(MetadataHandler& h, Timestamp now);
 
-  /// \brief Runs the wave proper (post-admission): naive or planned refresh
-  /// walk. Caller holds at least a shared structure lock and the origin's
-  /// wave stripe (a dynamic capability Clang TSA cannot express; the runtime
-  /// lock-order validator covers the discipline instead).
+  /// \brief Runs the wave proper (post-admission): loads `origin`'s wave
+  /// plan, rebuilds and publishes a fresh one when its epoch is stale, and
+  /// refreshes the plan's handlers in order.
   ///
-  /// `can_rebuild` is true only for top-level waves (the thread held no
-  /// stripe of this manager on entry): a stale plan then triggers the
-  /// all-stripes rebuild. A nested frame finding a stale plan defers the
-  /// wave to the scheduler instead — it may already hold other stripes, so
-  /// it must not block for the full stripe set.
-  void RunWaveLocked(MetadataHandler& origin, Timestamp now, bool can_rebuild)
-      PIPES_NO_THREAD_SAFETY_ANALYSIS;
+  /// The walk holds its own reference to the plan, so a nested wave that
+  /// replaces the plan meanwhile cannot disturb it. The raw handler pointers
+  /// in the plan stay valid because removing a handler needs the structure
+  /// lock exclusively, which the caller's shared hold excludes.
+  void RunWave(MetadataHandler& origin, Timestamp now)
+      PIPES_REQUIRES_SHARED(structure_mu_);
 
   /// \brief Storm-damping admission for a wave originating at `origin`.
-  /// Requires the origin's wave stripe (dynamic capability, see above).
   ///
   /// True = a token was available (wave runs now). False = the event was
   /// coalesced into `origin`'s pending flush (scheduled here if none is);
   /// may trip the origin's circuit breaker.
   bool AdmitWave(MetadataHandler& origin, Timestamp now)
-      PIPES_NO_THREAD_SAFETY_ANALYSIS;
+      PIPES_REQUIRES(storm_mu_);
 
-  /// Schedules a coalesced-flush task for `origin` at `when`. Requires the
-  /// origin's wave stripe. A rejected admission (scheduler queue bound)
-  /// leaves flush_scheduled false so the next event retries — the coalesced
-  /// events are shed, not leaked.
+  /// Schedules a coalesced-flush task for `origin` at `when`. A rejected
+  /// admission (scheduler queue bound) leaves flush_scheduled false so the
+  /// next event retries — the coalesced events are shed, not leaked.
   void ScheduleStormFlush(MetadataHandler& origin, Timestamp when)
-      PIPES_NO_THREAD_SAFETY_ANALYSIS;
+      PIPES_REQUIRES(storm_mu_);
 
   /// Deferred flush of an origin's coalesced events: runs one wave for the
   /// whole run, re-arms the batch cadence while the breaker is tripped, and
-  /// resets the breaker after a quiet interval.
-  void FlushStorm(const std::weak_ptr<MetadataHandler>& weak)
-      PIPES_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// \brief Re-fires `origin`'s wave as a scheduler task running top-level.
-  ///
-  /// Used when a nested wave cannot take its origin's stripe without risking
-  /// an ABBA cycle (stripe held by another in-flight wave) or needs a plan
-  /// rebuild it must not block for. Under scheduler admission control the
-  /// deferred wave may be shed like any other one-shot — consistent with the
-  /// overload contract.
-  void DeferWave(MetadataHandler& origin);
+  /// resets the breaker after a quiet interval. `storm_mu_` is released
+  /// around the wave, whose refreshes may fire damped events themselves.
+  void FlushStorm(const std::weak_ptr<MetadataHandler>& weak);
 
   /// One governor tick: sample the pressure signal, advance the state
   /// machine, apply/restore cadence factors on transitions.
   void GovernorTick();
 
-  /// Applies `factor` to every live registered periodic handler (pruning
-  /// dead ones) and refreshes the stretched-items gauge.
+  /// Applies `factor` to every registered periodic handler that is not
+  /// retired and refreshes the stretched-items gauge.
   void ApplyPressureFactorLocked(double factor) PIPES_REQUIRES(pressure_mu_);
 
   /// Recovery-time value injection: publishes `v` with update time `ts` as
@@ -545,91 +506,32 @@ class MetadataManager {
   /// durability engine through its friendship with this class.
   static MetadataValue LoadHandlerValue(const MetadataHandler& handler);
 
-  /// \brief Rebuilds `origin`'s cached wave plan against `epoch`.
+  /// \brief Builds a fresh wave plan for `origin`, stamped with `epoch`.
   ///
   /// Derives the affected closure (BFS over dependents through
   /// propagate-through handlers) and Kahn-orders its triggered handlers into
-  /// `origin.wave_plan_.refresh`, reusing the origin stripe's scratch
-  /// buffers and per-handler `wave_mark_`/`wave_indegree_` fields instead of
-  /// allocating per-wave hash containers. Caller holds ALL wave stripes (the
-  /// per-handler scratch fields are shared between closures, so a rebuild
-  /// must exclude every in-flight wave) and at least a shared structure lock
-  /// (so the graph cannot change shape underneath; `epoch` was read before
-  /// the rebuild, making the stamp conservative).
-  void RebuildWavePlan(MetadataHandler& origin, uint64_t epoch)
-      PIPES_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// \brief All-stripes rebuild dance for a top-level wave that found a
-  /// stale plan.
-  ///
-  /// The caller holds exactly the origin's stripe. That stripe is released
-  /// first, then every stripe is taken in ascending index order (blocking
-  /// from an empty hold set can never deadlock: every other holder either
-  /// also ascends from nothing or holds a single stripe it will release
-  /// without blocking on a second one), the staleness check is repeated (a
-  /// concurrent rebuild may have won the race during the unlocked window),
-  /// and the non-origin stripes are released again — the caller continues
-  /// its walk under the origin stripe alone. Returns true when this call did
-  /// the rebuild.
-  bool RebuildUnderAllStripes(MetadataHandler& origin)
-      PIPES_NO_THREAD_SAFETY_ANALYSIS;
+  /// the plan's refresh list, using only local scratch: two rebuilds of one
+  /// origin may race, and each returns a valid plan. The caller holds the
+  /// structure lock shared, so the graph cannot change shape underneath;
+  /// `epoch` was read before the rebuild, making the stamp conservative.
+  static std::shared_ptr<const MetadataHandler::WavePlan> RebuildWavePlan(
+      MetadataHandler& origin, uint64_t epoch);
 
   TaskScheduler& scheduler_;
-  /// Graph-level lock of the three-level scheme (§4.2). Outer to the
-  /// wave stripes and every handler lock; see lock_order.h ranks.
+  /// Graph-level lock of the three-level scheme (§4.2). Outer to every
+  /// handler lock; see lock_order.h ranks.
   ReentrantSharedMutex structure_mu_{"MetadataManager::structure_mu",
                                      lockorder::kRankMetadataStructure};
-
-  /// \brief One propagation stripe: the wave lock shared by the origins
-  /// mapped to this stripe, plus the rebuild scratch their plan rebuilds
-  /// reuse (owned per stripe so steady-state rebuilds allocate nothing once
-  /// the buffers reached the high-water closure size).
-  ///
-  /// Stripe protocol (DESIGN.md §3.9): a steady-state wave holds only its
-  /// origin's stripe; a plan rebuild takes every stripe in ascending index
-  /// order from an empty hold set; a nested wave (fired by a refresh
-  /// evaluator) re-enters its own stripe recursively but only try-locks a
-  /// foreign stripe, deferring the wave to the scheduler on contention.
-  struct WaveStripe {
-    /// Recursive: a wave refresh may synchronously fire a nested event on
-    /// an origin of the same stripe (§3.2.3).
-    RecursiveMutex mu{"MetadataManager::wave_stripe_mu",
-                      lockorder::kRankWaveStripe};
-    /// BFS closure of the current rebuild (affected handlers, discovery
-    /// order).
-    std::vector<MetadataHandler*> scratch_closure PIPES_GUARDED_BY(mu);
-    /// Kahn ready-queue of the current rebuild (consumed by index).
-    std::vector<MetadataHandler*> scratch_ready PIPES_GUARDED_BY(mu);
-  };
-
-  /// Striped propagation locks. Sized in the constructor, never resized;
-  /// unique_ptr keeps stripe addresses stable for the validator.
-  // pipes-analyze: unguarded(sized in the ctor, never resized; stripes are internally locked)
-  std::vector<std::unique_ptr<WaveStripe>> stripes_;
-  /// Round-robin stripe assignment for newly included handlers (mutated
-  /// under the exclusive structure lock, atomic so lock-free readers of the
-  /// counter — none today — stay well-defined).
-  std::atomic<uint64_t> stripe_seq_{0};
-
-  std::atomic<PropagationMode> propagation_mode_{
-      PropagationMode::kTopological};
 
   /// Current structure epoch; see BumpStructureEpoch().
   std::atomic<uint64_t> structure_epoch_{1};
 
-  /// Stamp source for `MetadataHandler::wave_mark_`: incremented per plan
-  /// rebuild, so closure-membership tests are one compare and never need
-  /// clearing. Atomic: rebuilds from different origins draw stamps
-  /// concurrently (the per-handler scratch itself is protected by the
-  /// all-stripes rebuild discipline).
-  std::atomic<uint64_t> wave_stamp_{0};
-
   /// \name Overload-governor state
   ///
-  /// `pressure_mu_` ranks between the propagation and handler-dependents
-  /// locks: it is taken under the exclusive structure lock (periodic-handler
-  /// registration in Instantiate) and held while stretching handler cadences
-  /// (handler period locks, scheduler locks).
+  /// `pressure_mu_` ranks below every handler lock: it is taken under the
+  /// exclusive structure lock (periodic-handler registration in
+  /// Instantiate, deregistration in MaybeRemove) and held while stretching
+  /// handler cadences (handler period locks, scheduler locks).
   ///@{
   mutable Mutex pressure_mu_{"MetadataManager::pressure_mu",
                              lockorder::kRankPressureControl};
@@ -640,23 +542,29 @@ class MetadataManager {
   int hot_ticks_ PIPES_GUARDED_BY(pressure_mu_) = 0;
   int cool_ticks_ PIPES_GUARDED_BY(pressure_mu_) = 0;
   double current_factor_ PIPES_GUARDED_BY(pressure_mu_) = 1.0;
-  /// Every included periodic handler, for cadence stretching. Weak: the
-  /// governor must never extend handler lifetime past exclusion.
+  /// Every included periodic handler, for cadence stretching: Instantiate
+  /// adds one, MaybeRemove drops it on exclusion. Weak: the governor must
+  /// never extend handler lifetime past exclusion.
   std::vector<std::weak_ptr<MetadataHandler>> periodic_handlers_
       PIPES_GUARDED_BY(pressure_mu_);
   /// Atomic mirror of the machine state so pressure_state() is lock-free.
   std::atomic<int> pressure_state_{0};
   ///@}
 
-  /// Storm damping switch. Atomic so the undamped fast path is one relaxed
-  /// load; flipped by Enable/DisableStormDamping.
+  /// \name Storm-damping state
+  ///
+  /// `storm_mu_` guards the options and every origin's
+  /// MetadataHandler::StormState. It is taken only while damping is enabled,
+  /// so the undamped path is one relaxed load of the switch. A nested wave
+  /// takes it under a handler's eval lock, and it is held across scheduler
+  /// calls, so it ranks between the two.
+  ///@{
+  Mutex storm_mu_{"MetadataManager::storm_mu", lockorder::kRankStormDamping};
+  /// Atomic so the undamped fast path is one relaxed load; flipped by
+  /// Enable/DisableStormDamping.
   std::atomic<bool> storm_damping_enabled_{false};
-  /// Storm damping configuration. Written under ALL wave stripes
-  /// (EnableStormDamping) and read under any one stripe (AdmitWave,
-  /// FlushStorm), so writers exclude every reader — the striped analogue of
-  /// the old propagation-lock guard.
-  // pipes-analyze: unguarded(written under all wave stripes, read under any one stripe)
-  StormDampingOptions storm_options_;
+  StormDampingOptions storm_options_ PIPES_GUARDED_BY(storm_mu_);
+  ///@}
 
   std::atomic<uint64_t> stats_subscriptions_{0};
   std::atomic<uint64_t> stats_unsubscriptions_{0};
@@ -668,7 +576,6 @@ class MetadataManager {
   std::atomic<uint64_t> stats_wave_refreshes_{0};
   std::atomic<uint64_t> stats_wave_plan_hits_{0};
   std::atomic<uint64_t> stats_wave_plan_rebuilds_{0};
-  std::atomic<uint64_t> stats_waves_deferred_{0};
   std::atomic<uint64_t> stats_events_{0};
   std::atomic<uint64_t> stats_eval_failures_{0};
   std::atomic<uint64_t> stats_evals_skipped_{0};

@@ -248,7 +248,7 @@ class SimHarness {
         dir_ = opts_.durability_dir;
       }
     }
-    manager_ = std::make_unique<MetadataManager>(sched_, /*wave_stripes=*/1);
+    manager_ = std::make_unique<MetadataManager>(sched_);
     providers_.reserve(static_cast<size_t>(P()));
     for (int p = 0; p < P(); ++p) {
       providers_.push_back(
@@ -274,7 +274,7 @@ class SimHarness {
     if (!st.ok()) return "ExportProvider failed: " + st.ToString();
     server_->Serve(link_->a());
 
-    client_mgr_ = std::make_unique<MetadataManager>(sched_, /*wave_stripes=*/1);
+    client_mgr_ = std::make_unique<MetadataManager>(sched_);
     net::Endpoint* client_ep = &link_->b();
     if (opts_.inject_duplicates) {
       dup_endpoint_ = std::make_unique<DuplicatingEndpoint>(link_->b());
@@ -516,7 +516,7 @@ class SimHarness {
         }
       }
     }
-    manager_ = std::make_unique<MetadataManager>(sched_, /*wave_stripes=*/1);
+    manager_ = std::make_unique<MetadataManager>(sched_);
     for (int p = 0; p < P(); ++p) {
       providers_.push_back(
           std::make_unique<MetadataProvider>("p" + std::to_string(p)));

@@ -18,6 +18,7 @@
 namespace pipes {
 namespace {
 
+using testing::MetaFixture;
 using testing::SimpleProvider;
 
 TEST(MetadataConcurrencyTest, ManyReadersOnePeriodicWriter) {
@@ -193,15 +194,15 @@ TEST(MetadataConcurrencyTest, StormDampingUnderConcurrentFireEvent) {
   EXPECT_GE(sub->Get().AsInt(), 1);
 }
 
-TEST(MetadataConcurrencyTest, ConcurrentWavesAcrossStripesWithStructureChurn) {
-  // The striped-propagation stress: origins pinned to distinct stripes fire
-  // concurrently (waves from independent origins hold different stripe
-  // locks) while a churn thread subscribes/unsubscribes and redefines other
-  // items, bumping the structure epoch so in-flight origins keep hitting the
-  // all-stripes rebuild path. Run under TSan this exercises every stripe
-  // transition: steady wave, rebuild, nested defer, storm-free admission.
+TEST(MetadataConcurrencyTest, ConcurrentWavesWithStructureChurn) {
+  // The concurrent-propagation stress: independent origins fire
+  // concurrently (waves share only the structure lock) while a churn thread
+  // subscribes/unsubscribes and redefines other items, bumping the
+  // structure epoch so in-flight origins keep rebuilding and republishing
+  // their plans. Run under TSan this exercises every plan transition:
+  // steady walk, rebuild, racing rebuilds of one origin.
   ThreadPoolScheduler scheduler(4);
-  MetadataManager manager(scheduler, /*wave_stripes=*/4);
+  MetadataManager manager(scheduler);
   constexpr int kOrigins = 4;
   constexpr int kEventsPerOrigin = 300;
 
@@ -265,30 +266,33 @@ TEST(MetadataConcurrencyTest, ConcurrentWavesAcrossStripesWithStructureChurn) {
   MetadataManagerStats st = manager.stats();
   EXPECT_EQ(st.events_fired,
             static_cast<uint64_t>(kOrigins * kEventsPerOrigin));
-  // Every fired event either ran as a wave or was deferred to the scheduler;
-  // FireEvent never silently drops one.
-  EXPECT_GE(st.waves + st.waves_deferred, st.events_fired);
+  // Every fired event ran as a wave; FireEvent never drops one.
+  EXPECT_GE(st.waves, st.events_fired);
   for (auto& sub : subs) {
     EXPECT_GE(sub.Get().AsInt(), 1);
   }
 }
 
-TEST(MetadataConcurrencyTest, NestedCrossOriginWaveDefersInsteadOfBlocking) {
+TEST(MetadataConcurrencyTest, NestedWaveWithStalePlanIsNeverShed) {
   // A wave evaluator firing an event on another origin starts a *nested*
-  // wave. Its plan has never been built (stale), and a nested frame cannot
-  // take all stripes to rebuild — the wave must be deferred to the
-  // scheduler and re-fired top-level, not walked stale or deadlocked on.
-  ThreadPoolScheduler scheduler(2);
-  MetadataManager manager(scheduler, /*wave_stripes=*/2);
+  // wave whose plan was never built. It must rebuild the plan and run on
+  // the spot: a wave handed to the scheduler instead can be shed by
+  // admission control, leaving its triggered dependent stale for good
+  // (§3.2.3 promises triggered items are never stale).
+  MetaFixture fx;
+  SchedulerOverloadPolicy policy;
+  policy.max_pending = 1;
+  fx.scheduler.SetOverloadPolicy(policy);
+  // A far-future filler takes the only slot: any further one-shot is shed.
+  TaskHandle filler = fx.scheduler.ScheduleAt(fx.Now() + Seconds(3600), [] {});
+  ASSERT_TRUE(filler.valid());
+
   SimpleProvider p("p");
   auto& reg = p.metadata_registry();
-  std::atomic<int64_t> state{1};
-  std::atomic<bool> armed{false};
-
+  int64_t state = 1;
+  bool armed = false;
   ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("sb").WithEvaluator(
-                  [&state](EvalContext&) {
-                    return MetadataValue(state.load());
-                  }))
+                  [&state](EvalContext&) { return MetadataValue(state); }))
                   .ok());
   ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("tb")
                              .DependsOnSelf("sb")
@@ -297,9 +301,7 @@ TEST(MetadataConcurrencyTest, NestedCrossOriginWaveDefersInsteadOfBlocking) {
                              }))
                   .ok());
   ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("sa").WithEvaluator(
-                  [&state](EvalContext&) {
-                    return MetadataValue(state.load());
-                  }))
+                  [&state](EvalContext&) { return MetadataValue(state); }))
                   .ok());
   // ta's refresh fires an event on sb — a nested wave from inside a wave.
   // Armed only after subscription: the activation evaluation runs under the
@@ -307,31 +309,27 @@ TEST(MetadataConcurrencyTest, NestedCrossOriginWaveDefersInsteadOfBlocking) {
   ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("ta")
                              .DependsOnSelf("sa")
                              .WithEvaluator([&](EvalContext& ctx) {
-                               if (armed.load(std::memory_order_acquire)) {
-                                 manager.FireEvent(p, "sb");
-                               }
+                               if (armed) fx.manager.FireEvent(p, "sb");
                                return ctx.Dep(0);
                              }))
                   .ok());
 
-  auto sub_b = manager.Subscribe(p, "tb");
-  auto sub_a = manager.Subscribe(p, "ta");
+  auto sub_b = fx.manager.Subscribe(p, "tb");
+  auto sub_a = fx.manager.Subscribe(p, "ta");
   ASSERT_TRUE(sub_b.ok());
   ASSERT_TRUE(sub_a.ok());
-  armed.store(true, std::memory_order_release);
+  armed = true;
 
-  state.store(42);
-  manager.FireEvent(p, "sa");
+  state = 42;
+  fx.manager.FireEvent(p, "sa");
 
-  MetadataManagerStats st = manager.stats();
-  EXPECT_GE(st.waves_deferred, 1u)
-      << "the nested cross-origin wave must defer (stale plan, held stripe)";
-
-  // The deferred wave re-fires from a pool worker and completes the refresh.
-  for (int i = 0; i < 2000 && sub_b->Get().AsInt() < 42; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(sub_b->Get().AsInt(), 42);
+  EXPECT_EQ(sub_b->Get().AsInt(), 42)
+      << "the nested wave must refresh tb before FireEvent returns";
+  MetadataManagerStats st = fx.manager.stats();
+  EXPECT_EQ(st.scheduler_rejections, 0u);
+  EXPECT_EQ(st.waves_deferred, 0u);
+  EXPECT_EQ(st.waves, 2u);
+  EXPECT_EQ(st.wave_plan_rebuilds, 2u);
 }
 
 TEST(MetadataConcurrencyTest, SeqlockReadersSeeNoTornNumericValues) {

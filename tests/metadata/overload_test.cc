@@ -205,6 +205,39 @@ TEST(OverloadTest, DisableRestoresCadences) {
   EXPECT_EQ(AsPeriodic(sub)->effective_period(), Seconds(1));
 }
 
+TEST(OverloadTest, ExcludedPeriodicItemsLeaveTheGovernor) {
+  // Exclusion drops a periodic item from the governor's list, so churn
+  // leaves nothing behind: a brownout stretches exactly the standing item,
+  // and the churned item, included again, starts at the stretched cadence.
+  MetaFixture fx;
+  SimpleProvider p("p");
+  for (const char* key : {"standing", "churned"}) {
+    ASSERT_TRUE(p.metadata_registry()
+                    .Define(MetadataDescriptor::Periodic(key, Seconds(1))
+                                .WithEvaluator([](EvalContext&) {
+                                  return MetadataValue(1.0);
+                                }))
+                    .ok());
+  }
+  auto standing = fx.manager.Subscribe(p, "standing").value();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(fx.manager.Subscribe(p, "churned").ok());
+  }
+
+  auto hot = std::make_shared<bool>(true);
+  fx.manager.SetPressureProbe([hot] { return *hot; });
+  fx.manager.EnableOverloadControl(TestGovernor());
+  fx.RunFor(4 * 100 * kMicrosPerMilli);
+  ASSERT_EQ(fx.manager.pressure_state(), PressureState::kBrownout);
+  auto stats = fx.manager.stats();
+  EXPECT_EQ(stats.periods_stretched, 1u);
+  EXPECT_EQ(stats.period_stretches, 2u);  // pressured, then brownout
+  EXPECT_EQ(AsPeriodic(standing)->effective_period(), 4 * Seconds(1));
+
+  auto again = fx.manager.Subscribe(p, "churned").value();
+  EXPECT_EQ(AsPeriodic(again)->effective_period(), 4 * Seconds(1));
+}
+
 // --- Storm damping ----------------------------------------------------------
 
 /// Fixture with a triggered chain src -> dst, ready to fire events on src.
@@ -294,6 +327,46 @@ TEST(OverloadTest, BreakerTripsAndResetsAfterQuiet) {
   // A whole batch interval without one event resets the breaker.
   fx.RunFor(500 * kMicrosPerMilli);
   EXPECT_EQ(fx.manager.stats().breakers_active, 0u);
+}
+
+TEST(OverloadTest, EventDuringAFlushWaveArmsTheOnlyNextFlush) {
+  // A tripped origin's flush wave can itself coalesce a new event: here the
+  // dependent's evaluator fires the origin again. That event arms the next
+  // batch flush, and the flush must not arm a second one on top of it, or
+  // the flushes would multiply every interval.
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  bool armed = false;
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("src").WithEvaluator(
+                  [](EvalContext&) { return MetadataValue(1.0); }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("dst")
+                             .DependsOnSelf("src")
+                             .WithEvaluator([&](EvalContext&) {
+                               if (armed) fx.manager.FireEvent(p, "src");
+                               return MetadataValue(1.0);
+                             }))
+                  .ok());
+  auto dst = fx.manager.Subscribe(p, "dst");
+  ASSERT_TRUE(dst.ok());
+
+  StormDampingOptions opts;
+  opts.max_waves_per_sec = 1.0;
+  opts.burst = 1.0;
+  opts.breaker_trip_coalesced = 10;
+  opts.breaker_batch_interval = 100 * kMicrosPerMilli;
+  fx.manager.EnableStormDamping(opts);
+  for (int i = 0; i < 11; ++i) fx.manager.FireEvent(p, "src");
+  ASSERT_EQ(fx.manager.stats().breakers_active, 1u);
+  armed = true;
+
+  // Batch flushes at +100 ms .. +1000 ms, each re-firing src once.
+  fx.RunFor(Seconds(1) + 50 * kMicrosPerMilli);
+  auto stats = fx.manager.stats();
+  EXPECT_EQ(stats.storm_flushes, 10u);
+  EXPECT_EQ(stats.events_coalesced, 10u + 10u);
+  EXPECT_EQ(stats.breakers_active, 1u);
 }
 
 }  // namespace

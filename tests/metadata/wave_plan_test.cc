@@ -154,25 +154,6 @@ TEST(WavePlanTest, DynamicRedefinitionBumpsEpoch) {
   EXPECT_EQ(s2.wave_plan_hits, s1.wave_plan_hits);
 }
 
-TEST(WavePlanTest, NaiveRecursiveModeBypassesCache) {
-  MetaFixture fx;
-  SimpleProvider p("p");
-  auto& reg = p.metadata_registry();
-  auto evals = std::make_shared<int>(0);
-  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
-  ASSERT_TRUE(reg.Define(CountingTriggered("t1", {"base"}, evals)).ok());
-
-  auto sub = fx.manager.Subscribe(p, "t1");
-  ASSERT_TRUE(sub.ok());
-  fx.manager.set_propagation_mode(PropagationMode::kNaiveRecursive);
-  fx.manager.FireEvent(p, "base");
-  fx.manager.FireEvent(p, "base");
-  auto s = fx.manager.stats();
-  EXPECT_EQ(s.wave_plan_rebuilds, 0u);
-  EXPECT_EQ(s.wave_plan_hits, 0u);
-  EXPECT_EQ(s.wave_refreshes, 2u) << "naive mode must still refresh";
-}
-
 TEST(WavePlanTest, SteadyStateWaveIsAllocationFree) {
   if (!AllocCountingActive()) {
     GTEST_SKIP() << "allocation counting disabled (sanitizer build)";
@@ -191,8 +172,8 @@ TEST(WavePlanTest, SteadyStateWaveIsAllocationFree) {
   auto sub = fx.manager.Subscribe(p, prev);
   ASSERT_TRUE(sub.ok());
 
-  // Warm up: builds the plan, grows scratch buffers, faults in thread-local
-  // state of the lock-order validator.
+  // Warm up: builds the plan and faults in thread-local state of the
+  // lock-order validator.
   for (int i = 0; i < 3; ++i) fx.manager.FireEvent(p, "base");
 
   ScopedAllocCounter counter;
@@ -205,27 +186,9 @@ TEST(WavePlanTest, SteadyStateWaveIsAllocationFree) {
   EXPECT_EQ(s.wave_plan_hits, 3u);
 }
 
-// ---------------------------------------------------------------------------
-// Striped wave execution
-// ---------------------------------------------------------------------------
-
-TEST(WaveStripeTest, StripeCountDefaultsAndClamps) {
+TEST(WavePlanTest, IndependentOriginsCacheIndependentPlans) {
   VirtualTimeScheduler sched;
-  MetadataManager by_hardware(sched);
-  EXPECT_GE(by_hardware.wave_stripe_count(), 1u);
-  EXPECT_EQ(by_hardware.stats().wave_stripes, by_hardware.wave_stripe_count());
-
-  // One held-stripe bitmask must cover the whole stripe set.
-  MetadataManager clamped(sched, 200);
-  EXPECT_EQ(clamped.wave_stripe_count(), 64u);
-
-  MetadataManager explicit_count(sched, 3);
-  EXPECT_EQ(explicit_count.wave_stripe_count(), 3u);
-}
-
-TEST(WaveStripeTest, IndependentOriginsCacheIndependentPlans) {
-  VirtualTimeScheduler sched;
-  MetadataManager manager(sched, /*wave_stripes=*/2);
+  MetadataManager manager(sched);
   SimpleProvider p("p");
   auto& reg = p.metadata_registry();
   auto evals = std::make_shared<int>(0);
@@ -240,8 +203,7 @@ TEST(WaveStripeTest, IndependentOriginsCacheIndependentPlans) {
   ASSERT_TRUE(sb.ok());
 
   // Each origin builds its own plan once; subsequent waves from either
-  // origin hit their cached plans even though the origins live on
-  // different stripes.
+  // origin hit their own cached plans.
   manager.FireEvent(p, "base_a");
   manager.FireEvent(p, "base_b");
   auto s1 = manager.stats();
@@ -257,18 +219,16 @@ TEST(WaveStripeTest, IndependentOriginsCacheIndependentPlans) {
   EXPECT_EQ(s2.waves_deferred, 0u);
 }
 
-TEST(WaveStripeTest, CrossStripeClosureRebuildsUnderAllStripes) {
-  // A wave whose closure spans handlers pinned to other stripes (the rebuild
-  // writes their wave_mark_/wave_indegree_ scratch) must still produce a
-  // correct topological plan — the rebuild path quiesces all stripes.
+TEST(WavePlanTest, LongChainRebuildsIntoOneOrderedPlan) {
+  // A rebuild over a long chain orders the whole closure dependencies-first,
+  // so one wave refreshes every chain handler exactly once.
   VirtualTimeScheduler sched;
-  MetadataManager manager(sched, /*wave_stripes=*/4);
+  MetadataManager manager(sched);
   SimpleProvider p("p");
   auto& reg = p.metadata_registry();
   auto evals = std::make_shared<int>(0);
   ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
   std::string prev = "base";
-  // A chain long enough that its handlers land on every stripe.
   for (int i = 0; i < 12; ++i) {
     std::string key = "t" + std::to_string(i);
     ASSERT_TRUE(reg.Define(CountingTriggered(key, {prev}, evals)).ok());
