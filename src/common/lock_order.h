@@ -17,8 +17,9 @@
 ///    acquisitions of the reentrant rwlocks are tracked as held (so they can
 ///    appear on the held side of an edge) but never create wait edges
 ///    themselves: a reentrant reader admission can not close a wait cycle on
-///    its own, and modeling it as a wait would flag the paper's sanctioned
-///    fire-event-under-state-lock pattern as a false positive.
+///    its own. A first-level reader can (it queues behind a waiting writer);
+///    ThreadSanitizer's deadlock detector, which sees the underlying
+///    pthread rwlock, covers those cycles (DESIGN.md §3.4.1).
 ///  - Re-acquiring an instance the thread already holds is reentrant: the
 ///    hold depth grows, no edge is recorded, nothing is reported (unless the
 ///    lock class is non-reentrant — that is a self-deadlock report).
@@ -33,8 +34,9 @@
 /// become empty inlines and hot paths pay nothing. Upgrade reporting
 /// (ReportUpgrade) stays active in *all* builds — a shared→exclusive upgrade
 /// attempt on ReentrantSharedMutex is a guaranteed self-deadlock, not a
-/// heuristic. Set the environment variable PIPES_LOCK_ORDER_DUMP=<path> to
-/// append the observed lock-order graph to a file at process exit.
+/// heuristic, so `lock()` reports it and then aborts. Set the environment
+/// variable PIPES_LOCK_ORDER_DUMP=<path> to append the observed lock-order
+/// graph to a file at process exit.
 
 #pragma once
 
@@ -185,7 +187,7 @@ class LockOrderValidator {
   /// Reports a shared→exclusive upgrade attempt. Active in ALL builds,
   /// independent of PIPES_LOCK_ORDER_CHECKS and SetEnabled: upgrading a
   /// reentrant-shared lock self-deadlocks by construction (the writer waits
-  /// for its own read to drain).
+  /// for its own read to drain), so the caller aborts right after.
   void ReportUpgrade(const char* lock_name);
 
   /// Runtime kill switch (in addition to the compile-time one). Disabling

@@ -1,16 +1,16 @@
 /// \file mutex.h
-/// \brief Annotated, lock-order-instrumented mutex wrappers.
+/// \brief Annotated, lock-order-instrumented mutex wrapper.
 ///
-/// `pipes::Mutex` and `pipes::RecursiveMutex` wrap the standard mutexes with
-/// two additions: (1) they are Clang Thread Safety *capabilities*, so state
-/// marked PIPES_GUARDED_BY(mu_) is statically checked under
-/// -Wthread-safety, and (2) every acquisition reports to the lockdep-style
-/// validator in lock_order.h, so inconsistent lock nesting is caught at
-/// runtime even when the deadly interleaving never fires. Each lock is
-/// constructed with a class name (shared by all instances playing the same
-/// role) and an optional rank from the hierarchy in lock_order.h.
+/// `pipes::Mutex` wraps std::mutex with two additions: (1) it is a Clang
+/// Thread Safety *capability*, so state marked PIPES_GUARDED_BY(mu_) is
+/// statically checked under -Wthread-safety, and (2) every acquisition
+/// reports to the lockdep-style validator in lock_order.h, so inconsistent
+/// lock nesting is caught at runtime even when the deadly interleaving never
+/// fires. Each lock is constructed with a class name (shared by all instances
+/// playing the same role) and an optional rank from the hierarchy in
+/// lock_order.h.
 ///
-/// The wrappers satisfy the standard *Lockable* requirement, so
+/// The wrapper satisfies the standard *Lockable* requirement, so
 /// `std::unique_lock<pipes::Mutex>` and `std::condition_variable_any` work
 /// unchanged; prefer the annotated `MutexLock` guard where no condition
 /// variable is involved.
@@ -57,37 +57,6 @@ class PIPES_CAPABILITY("mutex") Mutex {
   const lockorder::LockClass* cls_;
 };
 
-/// \brief An annotated std::recursive_mutex with lock-order instrumentation.
-class PIPES_CAPABILITY("recursive_mutex") RecursiveMutex {
- public:
-  RecursiveMutex() : RecursiveMutex("pipes::RecursiveMutex") {}
-  explicit RecursiveMutex(const char* name, int rank = 0)
-      : cls_(lockorder::RegisterLockClass(name, rank, /*reentrant=*/true)) {}
-
-  RecursiveMutex(const RecursiveMutex&) = delete;
-  RecursiveMutex& operator=(const RecursiveMutex&) = delete;
-
-  void lock() PIPES_ACQUIRE() PIPES_NO_THREAD_SAFETY_ANALYSIS {
-    lockorder::OnAcquire(cls_, this, /*shared=*/false);
-    mu_.lock();
-  }
-
-  void unlock() PIPES_RELEASE() PIPES_NO_THREAD_SAFETY_ANALYSIS {
-    mu_.unlock();
-    lockorder::OnRelease(cls_, this);
-  }
-
-  bool try_lock() PIPES_TRY_ACQUIRE(true) PIPES_NO_THREAD_SAFETY_ANALYSIS {
-    if (!mu_.try_lock()) return false;
-    lockorder::OnTryAcquired(cls_, this, /*shared=*/false);
-    return true;
-  }
-
- private:
-  std::recursive_mutex mu_;
-  const lockorder::LockClass* cls_;
-};
-
 /// \brief Scoped guard for pipes::Mutex (the annotated std::lock_guard).
 class PIPES_SCOPED_CAPABILITY MutexLock {
  public:
@@ -99,22 +68,6 @@ class PIPES_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// \brief Scoped guard for pipes::RecursiveMutex.
-class PIPES_SCOPED_CAPABILITY RecursiveMutexLock {
- public:
-  explicit RecursiveMutexLock(RecursiveMutex& mu) PIPES_ACQUIRE(mu)
-      : mu_(mu) {
-    mu_.lock();
-  }
-  ~RecursiveMutexLock() PIPES_RELEASE() { mu_.unlock(); }
-
-  RecursiveMutexLock(const RecursiveMutexLock&) = delete;
-  RecursiveMutexLock& operator=(const RecursiveMutexLock&) = delete;
-
- private:
-  RecursiveMutex& mu_;
 };
 
 }  // namespace pipes

@@ -1,140 +1,120 @@
 #include "common/reentrant_shared_mutex.h"
 
-#include <unordered_map>
+#include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <vector>
 
 namespace pipes {
 
 namespace {
-// Per-thread shared-acquisition depth for each mutex instance. Zero-depth
-// entries are kept: erasing on release would make every re-acquisition pay a
-// fresh node allocation, which shows up as per-wave heap traffic on the
-// propagation fast path. The map stays bounded by the distinct mutexes a
-// thread ever touched, and an address reused by a new mutex simply finds a
-// stale depth of 0.
-thread_local std::unordered_map<const ReentrantSharedMutex*, int> t_read_depth;
-}  // namespace
 
-int ReentrantSharedMutex::MyReadDepth() const {
-  auto it = t_read_depth.find(this);
-  return it == t_read_depth.end() ? 0 : it->second;
+// The calling thread's holds: one record per lock it currently holds at any
+// depth, erased when both depths return to zero. The list is as long as the
+// thread's current nesting, so a linear scan is cheap, and its capacity is
+// kept: once warm, acquiring and releasing never allocates.
+struct Hold {
+  const ReentrantSharedMutex* mu;
+  int shared;
+  int exclusive;
+};
+thread_local std::vector<Hold> t_holds;
+
+Hold* FindHold(std::vector<Hold>& holds, const ReentrantSharedMutex* mu) {
+  for (Hold& h : holds) {
+    if (h.mu == mu) return &h;
+  }
+  return nullptr;
 }
 
-void ReentrantSharedMutex::SetMyReadDepth(int depth) {
-  t_read_depth[this] = depth;
+void DropHold(std::vector<Hold>& holds, Hold* h) {
+  *h = holds.back();
+  holds.pop_back();
+}
+
+void Check(int rc, const char* op) {
+  if (rc == 0) return;
+  std::fprintf(stderr, "ReentrantSharedMutex: %s failed: %s\n", op,
+               std::strerror(rc));
+  std::abort();
+}
+
+}  // namespace
+
+ReentrantSharedMutex::ReentrantSharedMutex(const char* name, int rank)
+    : cls_(lockorder::RegisterLockClass(name, rank, /*reentrant=*/true)) {
+  // glibc's only kind where a queued writer blocks new readers. It does not
+  // allow a thread to read-lock twice, which the hold list never does.
+  pthread_rwlockattr_t attr;
+  Check(pthread_rwlockattr_init(&attr), "pthread_rwlockattr_init");
+  Check(pthread_rwlockattr_setkind_np(
+            &attr, PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP),
+        "pthread_rwlockattr_setkind_np");
+  Check(pthread_rwlock_init(&rw_, &attr), "pthread_rwlock_init");
+  Check(pthread_rwlockattr_destroy(&attr), "pthread_rwlockattr_destroy");
+}
+
+ReentrantSharedMutex::~ReentrantSharedMutex() {
+  Check(pthread_rwlock_destroy(&rw_), "pthread_rwlock_destroy");
 }
 
 void ReentrantSharedMutex::lock() PIPES_NO_THREAD_SAFETY_ANALYSIS {
   // Record before blocking, so a lock-order report exists even if this very
   // acquisition is the one that deadlocks.
   lockorder::OnAcquire(cls_, this, /*shared=*/false);
-  std::unique_lock<std::mutex> lock(mu_);
-  auto me = std::this_thread::get_id();
-  if (writer_ == me) {
-    ++write_depth_;
+  std::vector<Hold>& holds = t_holds;
+  if (Hold* h = FindHold(holds, this)) {
+    if (h->exclusive == 0) {
+      // Only shared levels held: the write lock would wait for this thread's
+      // own read to drain. Reported in all builds, then fatal.
+      lockorder::LockOrderValidator::Instance().ReportUpgrade(
+          lockorder::LockClassName(cls_));
+      std::abort();
+    }
+    ++h->exclusive;
     return;
   }
-  if (MyReadDepth() > 0) {
-    // Reported in all builds: with only shared levels held this wait below
-    // can never finish (active_readers_ includes this thread).
-    lockorder::LockOrderValidator::Instance().ReportUpgrade(
-        lockorder::LockClassName(cls_));
-    assert(false &&
-           "ReentrantSharedMutex: shared->exclusive upgrade is not supported");
-  }
-  ++waiting_writers_;
-  writers_cv_.wait(lock, [this] {
-    return write_depth_ == 0 && active_readers_ == 0;
-  });
-  --waiting_writers_;
-  writer_ = me;
-  write_depth_ = 1;
+  Check(pthread_rwlock_wrlock(&rw_), "pthread_rwlock_wrlock");
+  holds.push_back({this, 0, 1});
 }
 
 void ReentrantSharedMutex::unlock() PIPES_NO_THREAD_SAFETY_ANALYSIS {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    assert(writer_ == std::this_thread::get_id() && write_depth_ > 0);
-    if (--write_depth_ == 0) {
-      assert(writer_read_depth_ == 0 &&
-             "unlock() while still holding nested shared locks");
-      writer_ = std::thread::id{};
-      if (waiting_writers_ > 0) {
-        writers_cv_.notify_one();
-      } else {
-        readers_cv_.notify_all();
-      }
-    }
+  std::vector<Hold>& holds = t_holds;
+  Hold* h = FindHold(holds, this);
+  assert(h != nullptr && h->exclusive > 0 && "unlock() without lock()");
+  if (--h->exclusive == 0) {
+    assert(h->shared == 0 &&
+           "unlock() while still holding nested shared locks");
+    DropHold(holds, h);
+    Check(pthread_rwlock_unlock(&rw_), "pthread_rwlock_unlock");
   }
   lockorder::OnRelease(cls_, this);
 }
 
 void ReentrantSharedMutex::lock_shared() PIPES_NO_THREAD_SAFETY_ANALYSIS {
   lockorder::OnAcquire(cls_, this, /*shared=*/true);
-  std::unique_lock<std::mutex> lock(mu_);
-  auto me = std::this_thread::get_id();
-  if (writer_ == me) {
-    ++writer_read_depth_;
+  std::vector<Hold>& holds = t_holds;
+  if (Hold* h = FindHold(holds, this)) {
+    // A nested read, or a read inside the write: never reaches the rwlock,
+    // so it cannot queue behind a waiting writer and self-deadlock.
+    ++h->shared;
     return;
   }
-  int depth = MyReadDepth();
-  if (depth > 0) {
-    // Reentrant read: never blocks, even with waiting writers, to avoid
-    // self-deadlock.
-    SetMyReadDepth(depth + 1);
-    ++active_readers_;
-    return;
-  }
-  readers_cv_.wait(lock, [this] {
-    return write_depth_ == 0 && waiting_writers_ == 0;
-  });
-  SetMyReadDepth(1);
-  ++active_readers_;
+  Check(pthread_rwlock_rdlock(&rw_), "pthread_rwlock_rdlock");
+  holds.push_back({this, 1, 0});
 }
 
 void ReentrantSharedMutex::unlock_shared() PIPES_NO_THREAD_SAFETY_ANALYSIS {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto me = std::this_thread::get_id();
-    if (writer_ == me) {
-      assert(writer_read_depth_ > 0);
-      --writer_read_depth_;
-    } else {
-      int depth = MyReadDepth();
-      assert(depth > 0 && "unlock_shared() without matching lock_shared()");
-      SetMyReadDepth(depth - 1);
-      if (--active_readers_ == 0 && waiting_writers_ > 0) {
-        writers_cv_.notify_one();
-      }
-    }
+  std::vector<Hold>& holds = t_holds;
+  Hold* h = FindHold(holds, this);
+  assert(h != nullptr && h->shared > 0 &&
+         "unlock_shared() without lock_shared()");
+  if (--h->shared == 0 && h->exclusive == 0) {
+    DropHold(holds, h);
+    Check(pthread_rwlock_unlock(&rw_), "pthread_rwlock_unlock");
   }
   lockorder::OnRelease(cls_, this);
-}
-
-bool ReentrantSharedMutex::TryUpgrade() PIPES_NO_THREAD_SAFETY_ANALYSIS {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (writer_ == std::this_thread::get_id()) {
-    ++write_depth_;
-    lockorder::OnTryAcquired(cls_, this, /*shared=*/false);
-    return true;
-  }
-  if (MyReadDepth() > 0) {
-    // The refused upgrade is the interesting event: code that *would have*
-    // upgraded under load is a latent deadlock, so it is reported in all
-    // builds even though this probe never blocks.
-    lockorder::LockOrderValidator::Instance().ReportUpgrade(
-        lockorder::LockClassName(cls_));
-  }
-  return false;
-}
-
-bool ReentrantSharedMutex::HeldExclusiveByMe() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return writer_ == std::this_thread::get_id();
-}
-
-bool ReentrantSharedMutex::HeldByMe() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return writer_ == std::this_thread::get_id() || MyReadDepth() > 0;
 }
 
 }  // namespace pipes

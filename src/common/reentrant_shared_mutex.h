@@ -3,19 +3,23 @@
 ///
 /// PIPES controls concurrent access "at graph-, operator-, and metadata level"
 /// with "three different types of reentrant read-write locks". This class is
-/// the building block: a shared mutex that the same thread may acquire
-/// recursively, in the following combinations:
-///   - read inside read (recursive shared acquisition never blocks),
-///   - write inside write (recursive exclusive acquisition),
-///   - read inside write (the writer may take shared locks for free).
-/// Upgrading (requesting exclusive while holding only shared) is NOT
-/// supported — upgrades are an unavoidable deadlock with two concurrent
-/// upgraders. An upgrade attempt is reported through the lock-order
-/// validator in ALL builds (see lock_order.h) and asserts in debug builds;
-/// use TryUpgrade() where upgrade-or-bail semantics are needed.
+/// the building block: one writer-preferring `pthread_rwlock_t` plus a
+/// per-thread list of the locks the thread holds, with one {shared depth,
+/// exclusive depth} record per lock. The rwlock is touched only by a thread's
+/// outermost acquisition and final release; every nested one just bumps the
+/// record, so the same thread may acquire the lock recursively as
+///   - read inside read,
+///   - write inside write,
+///   - read inside write (the writer takes shared levels for free).
 ///
-/// Writers are preferred over *new* readers to avoid writer starvation;
-/// reentrant readers are always admitted to avoid self-deadlock.
+/// Writers are preferred: a queued writer blocks *new* readers, so waves
+/// holding the lock shared cannot starve a structural change. A reentrant
+/// reader never reaches the rwlock and so never waits behind that writer.
+///
+/// Upgrading (requesting exclusive while holding only shared) would wait for
+/// the caller's own read to drain, forever. `lock()` reports the attempt
+/// through the lock-order validator in all builds (see lock_order.h) and
+/// aborts.
 ///
 /// The class is a Clang Thread Safety capability and reports acquisitions to
 /// the lockdep-style lock-order validator; construct it with a class name
@@ -23,10 +27,7 @@
 
 #pragma once
 
-#include <cassert>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
+#include <pthread.h>
 
 #include "common/lock_order.h"
 #include "common/thread_annotations.h"
@@ -38,8 +39,8 @@ class PIPES_CAPABILITY("ReentrantSharedMutex") ReentrantSharedMutex {
   ReentrantSharedMutex() : ReentrantSharedMutex("pipes::ReentrantSharedMutex") {}
   /// `name` identifies this lock's class in lock-order reports; `rank` is
   /// its position in the lock hierarchy (0 = unranked).
-  explicit ReentrantSharedMutex(const char* name, int rank = 0)
-      : cls_(lockorder::RegisterLockClass(name, rank, /*reentrant=*/true)) {}
+  explicit ReentrantSharedMutex(const char* name, int rank = 0);
+  ~ReentrantSharedMutex();
   ReentrantSharedMutex(const ReentrantSharedMutex&) = delete;
   ReentrantSharedMutex& operator=(const ReentrantSharedMutex&) = delete;
 
@@ -55,33 +56,8 @@ class PIPES_CAPABILITY("ReentrantSharedMutex") ReentrantSharedMutex {
   /// Releases one level of shared ownership.
   void unlock_shared() PIPES_RELEASE_SHARED();
 
-  /// Non-blocking upgrade probe. Returns true — taking one more exclusive
-  /// level that must be released with unlock() — only when the calling
-  /// thread already holds the lock exclusively. A genuine shared→exclusive
-  /// upgrade (only shared levels held) is refused, returns false, and is
-  /// reported through the lock-order validator in all builds; callers must
-  /// release their shared levels and reacquire exclusively instead.
-  bool TryUpgrade() PIPES_TRY_ACQUIRE(true);
-
-  /// True iff the calling thread currently holds the lock exclusively.
-  bool HeldExclusiveByMe() const;
-
-  /// True iff the calling thread holds at least one shared (or exclusive)
-  /// level of this lock.
-  bool HeldByMe() const;
-
  private:
-  int MyReadDepth() const;
-  void SetMyReadDepth(int depth);
-
-  mutable std::mutex mu_;
-  std::condition_variable readers_cv_;
-  std::condition_variable writers_cv_;
-  std::thread::id writer_{};
-  int write_depth_ = 0;
-  int writer_read_depth_ = 0;  // shared acquisitions by the current writer
-  int active_readers_ = 0;
-  int waiting_writers_ = 0;
+  pthread_rwlock_t rw_;
   const lockorder::LockClass* cls_;
 };
 

@@ -424,11 +424,11 @@ void MetadataManager::MaybeRemove(
 
 void MetadataManager::FireEvent(MetadataProvider& provider,
                                 const MetadataKey& key) {
-  std::shared_ptr<MetadataHandler> handler;
-  {
-    SharedLock lock(structure_mu_);
-    handler = provider.metadata_registry().GetHandler(key);
-  }
+  // One shared hold covers the lookup and the wave; PropagateFrom's own
+  // SharedLock nests as a per-thread depth bump.
+  SharedLock lock(structure_mu_);
+  std::shared_ptr<MetadataHandler> handler =
+      provider.metadata_registry().GetHandler(key);
   if (handler == nullptr) return;
   stats_events_.fetch_add(1, std::memory_order_relaxed);
   PropagateFrom(*handler, clock().Now());
@@ -436,18 +436,16 @@ void MetadataManager::FireEvent(MetadataProvider& provider,
 
 void MetadataManager::FireEventDeferred(MetadataProvider& provider,
                                         const MetadataKey& key) {
-  // Resolve the handler now and hand the task a weak_ptr: the provider may
-  // be torn down before the scheduler runs the task, so capturing `&provider`
-  // (or a raw handler pointer) would dangle. A dead or retired handler means
-  // the event has nothing left to notify — drop it.
-  std::weak_ptr<MetadataHandler> weak;
-  {
-    SharedLock lock(structure_mu_);
-    std::shared_ptr<MetadataHandler> handler =
-        provider.metadata_registry().GetHandler(key);
-    if (handler == nullptr) return;
-    weak = handler;
-  }
+  // Resolve the handler now, through the registry alone: the caller may hold
+  // a node state lock exclusively, and taking the structure lock under it
+  // would invert Subscribe's structure -> state order. Hand the task a
+  // weak_ptr: the provider may be torn down before the scheduler runs the
+  // task, so capturing `&provider` (or a raw handler pointer) would dangle.
+  // A dead or retired handler means the event has nothing left to notify —
+  // drop it.
+  std::weak_ptr<MetadataHandler> weak =
+      provider.metadata_registry().GetHandler(key);
+  if (weak.expired()) return;
   scheduler_.ScheduleAt(clock().Now(), [this, weak] {
     std::shared_ptr<MetadataHandler> handler = weak.lock();
     if (handler == nullptr || handler->retired()) return;
@@ -670,11 +668,18 @@ void MetadataManager::FlushStorm(const std::weak_ptr<MetadataHandler>& weak) {
   RunWave(*origin, now);
 
   // A tripped origin keeps batch-refreshing on the breaker cadence; the
-  // quiet-interval branch above is the only way out. An event coalesced
-  // during the wave may already have armed the next flush.
-  if (!storm_damping_enabled_.load(std::memory_order_relaxed)) return;
+  // quiet-interval branch above is the only way out while damping is on.
+  // With damping off no flush comes back, so the breaker closes here. An
+  // event coalesced during the wave may already have armed the next flush.
   MutexLock storm(storm_mu_);
   MetadataHandler::StormState& st = origin->storm_;
+  if (!storm_damping_enabled_.load(std::memory_order_relaxed)) {
+    if (st.breaker) {
+      st.breaker = false;
+      stats_breakers_now_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    return;
+  }
   if (st.breaker && !st.flush_scheduled) {
     ScheduleStormFlush(*origin, now + storm_options_.breaker_batch_interval);
   }

@@ -227,10 +227,16 @@ class MetadataManager {
   /// \brief Fires the event notification for an included item (paper §3.2.3):
   /// starts a propagation wave over its dependents. No-op when the item is
   /// not included.
+  ///
+  /// Never call it while holding a provider state lock exclusively: the wave
+  /// takes the structure lock and evaluators take state locks, the reverse
+  /// of Subscribe's structure -> state order. Use FireEventDeferred there.
   void FireEvent(MetadataProvider& provider, const MetadataKey& key);
 
   /// Like FireEvent but runs asynchronously on the scheduler — for calls
   /// from element-processing threads that hold node state locks exclusively.
+  /// It takes no structure lock: the handler is resolved through the
+  /// provider's registry alone.
   void FireEventDeferred(MetadataProvider& provider, const MetadataKey& key);
 
   /// \brief Runs one update-propagation wave starting at `origin`: all

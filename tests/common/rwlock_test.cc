@@ -1,54 +1,92 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
-#include "common/lock_order.h"
 #include "common/reentrant_shared_mutex.h"
 
 namespace pipes {
 namespace {
 
+/// A writer on a second thread. Reentrant levels are invisible to other
+/// threads, so the probe shows that the lock stays held until the test
+/// thread releases its outermost level — and is free right after.
+class WriterProbe {
+ public:
+  explicit WriterProbe(ReentrantSharedMutex& mu)
+      : thread_([this, &mu] {
+          ExclusiveLock w(mu);
+          in_.store(true);
+        }) {}
+  ~WriterProbe() {
+    if (thread_.joinable()) thread_.join();
+  }
+  WriterProbe(const WriterProbe&) = delete;
+  WriterProbe& operator=(const WriterProbe&) = delete;
+
+  /// Gives the writer a moment, then reports whether it has got in.
+  bool InAfterAMoment() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return in_.load();
+  }
+
+  /// Waits for the writer to get in and out.
+  bool Joined() {
+    thread_.join();
+    return in_.load();
+  }
+
+ private:
+  std::atomic<bool> in_{false};
+  std::thread thread_;
+};
+
 TEST(ReentrantSharedMutexTest, RecursiveExclusive) {
   ReentrantSharedMutex mu;
   mu.lock();
   mu.lock();
-  EXPECT_TRUE(mu.HeldExclusiveByMe());
+  WriterProbe writer(mu);
   mu.unlock();
-  EXPECT_TRUE(mu.HeldExclusiveByMe());
+  EXPECT_FALSE(writer.InAfterAMoment()) << "one exclusive level is left";
   mu.unlock();
-  EXPECT_FALSE(mu.HeldExclusiveByMe());
+  EXPECT_TRUE(writer.Joined());
 }
 
 TEST(ReentrantSharedMutexTest, RecursiveShared) {
   ReentrantSharedMutex mu;
   mu.lock_shared();
   mu.lock_shared();
-  EXPECT_TRUE(mu.HeldByMe());
+  WriterProbe writer(mu);
   mu.unlock_shared();
+  EXPECT_FALSE(writer.InAfterAMoment()) << "one shared level is left";
   mu.unlock_shared();
-  EXPECT_FALSE(mu.HeldByMe());
+  EXPECT_TRUE(writer.Joined());
 }
 
 TEST(ReentrantSharedMutexTest, ReadInsideWrite) {
   ReentrantSharedMutex mu;
   mu.lock();
   mu.lock_shared();  // writer may take shared for free
+  WriterProbe writer(mu);
   mu.unlock_shared();
+  EXPECT_FALSE(writer.InAfterAMoment()) << "the exclusive level is left";
   mu.unlock();
-  EXPECT_FALSE(mu.HeldByMe());
+  EXPECT_TRUE(writer.Joined());
 }
 
 TEST(ReentrantSharedMutexTest, RaiiGuards) {
   ReentrantSharedMutex mu;
+  std::optional<WriterProbe> writer;
   {
     ExclusiveLock w(mu);
-    EXPECT_TRUE(mu.HeldExclusiveByMe());
     SharedLock r(mu);
-    EXPECT_TRUE(mu.HeldByMe());
+    writer.emplace(mu);
+    EXPECT_FALSE(writer->InAfterAMoment());
   }
-  EXPECT_FALSE(mu.HeldByMe());
+  EXPECT_TRUE(writer->Joined());
 }
 
 TEST(ReentrantSharedMutexTest, WriterExcludesReaders) {
@@ -100,50 +138,46 @@ TEST(ReentrantSharedMutexTest, ReentrantReadDoesNotBlockOnWaitingWriter) {
   writer.join();
 }
 
-TEST(ReentrantSharedMutexTest, TryUpgradeRefusedWhileShared) {
-  auto& v = lockorder::LockOrderValidator::Instance();
-  v.ClearViolations();
-  ReentrantSharedMutex mu("rwlock_test.upgrade_refused");
+TEST(ReentrantSharedMutexTest, QueuedWriterBlocksNewReaders) {
+  // Writer preference: once a writer queues behind a reader, another
+  // thread's first shared level waits until the writer has been in and out,
+  // while the reader already inside takes a reentrant level at once.
+  ReentrantSharedMutex mu;
+  std::atomic<bool> writer_done{false};
+  std::atomic<bool> reader_in{false};
+  bool reader_saw_writer_done = false;
   mu.lock_shared();
-  // Upgrading a reentrant-shared lock would self-deadlock (the writer waits
-  // for its own read to drain), so the probe refuses...
-  EXPECT_FALSE(mu.TryUpgrade());
-  EXPECT_FALSE(mu.HeldExclusiveByMe());
-  EXPECT_TRUE(mu.HeldByMe());
+  std::thread writer([&] {
+    ExclusiveLock w(mu);
+    writer_done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // writer queues
+  std::thread reader([&] {
+    SharedLock r(mu);
+    reader_saw_writer_done = writer_done.load();
+    reader_in.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(reader_in.load()) << "a new reader overtook the queued writer";
+  mu.lock_shared();  // reentrant: must not wait for the queued writer
   mu.unlock_shared();
-  // ...and the attempt is reported in every build, not just debug.
-  bool reported = false;
-  for (const auto& viol : v.violations()) {
-    if (viol.kind == lockorder::LockOrderViolation::Kind::kUpgrade &&
-        viol.message.find("rwlock_test.upgrade_refused") !=
-            std::string::npos) {
-      reported = true;
-    }
-  }
-  EXPECT_TRUE(reported);
+  mu.unlock_shared();
+  writer.join();
+  reader.join();
+  EXPECT_TRUE(reader_saw_writer_done);
 }
 
-TEST(ReentrantSharedMutexTest, TryUpgradeWhileWriterIsReentrant) {
-  ReentrantSharedMutex mu("rwlock_test.upgrade_writer");
-  mu.lock();
-  // The exclusive holder "upgrades" for free: one more write depth.
-  EXPECT_TRUE(mu.TryUpgrade());
-  EXPECT_TRUE(mu.HeldExclusiveByMe());
-  mu.unlock();  // pairs with the successful TryUpgrade
-  EXPECT_TRUE(mu.HeldExclusiveByMe());
-  mu.unlock();
-  EXPECT_FALSE(mu.HeldExclusiveByMe());
-}
-
-TEST(ReentrantSharedMutexTest, TryUpgradeUnheldIsPlainRefusal) {
-  auto& v = lockorder::LockOrderValidator::Instance();
-  v.ClearViolations();
-  ReentrantSharedMutex mu("rwlock_test.upgrade_unheld");
-  EXPECT_FALSE(mu.TryUpgrade());  // nothing held: refuse, nothing to report
-  for (const auto& viol : v.violations()) {
-    EXPECT_EQ(viol.message.find("rwlock_test.upgrade_unheld"),
-              std::string::npos);
-  }
+TEST(ReentrantSharedMutexTest, UpgradeWhileSharedIsReportedThenFatal) {
+  // Upgrading a shared hold would wait for the caller's own read to drain,
+  // forever. lock() reports the attempt in every build, then aborts.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ReentrantSharedMutex mu("rwlock_test.upgrade");
+  EXPECT_DEATH(
+      {
+        mu.lock_shared();
+        mu.lock();
+      },
+      "\\[lock-order\\] upgrade: .*'rwlock_test\\.upgrade'");
 }
 
 TEST(ReentrantSharedMutexTest, StressReadersAndWriters) {

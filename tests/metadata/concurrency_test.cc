@@ -56,6 +56,10 @@ TEST(MetadataConcurrencyTest, ManyReadersOnePeriodicWriter) {
   for (auto& t : readers) t.join();
   EXPECT_GT(reads.load(), 0u);
   EXPECT_GT(sub->handler()->update_count(), 1u);
+  // Stop the pool before the manager and the evaluator's state die: a tick
+  // already running when the subscription ends still propagates through the
+  // manager (StreamEngine tears down in the same order).
+  scheduler.Shutdown();
 }
 
 TEST(MetadataConcurrencyTest, ConcurrentSubscribeUnsubscribe) {
@@ -192,6 +196,9 @@ TEST(MetadataConcurrencyTest, StormDampingUnderConcurrentFireEvent) {
   EXPECT_GT(st.events_coalesced, 0u);
   EXPECT_LE(st.breakers_active, 1u);
   EXPECT_GE(sub->Get().AsInt(), 1);
+  // A flush task may still be running on the pool: stop it before the
+  // manager dies.
+  scheduler.Shutdown();
 }
 
 TEST(MetadataConcurrencyTest, ConcurrentWavesWithStructureChurn) {
@@ -429,8 +436,10 @@ TEST(MetadataConcurrencyTest, SeqlockReadersSeeNoTornStringValues) {
 
 TEST(ReentrantLockMetadataTest, EvaluatorMayTakeStateLockHeldByFiringThread) {
   // A processing thread holds the node's state lock exclusively, mutates
-  // state, and fires a metadata event; the triggered evaluator re-enters the
-  // same lock shared. Reentrancy must make this safe on the same thread.
+  // state, and fires a metadata event whose triggered evaluator takes the
+  // same lock shared. Firing synchronously would take the structure lock
+  // under the state lock, the reverse of Subscribe's order, so such threads
+  // fire deferred: the wave runs once the state lock is released.
   VirtualTimeScheduler scheduler;
   MetadataManager manager(scheduler);
   SimpleProvider p("op");
@@ -456,8 +465,9 @@ TEST(ReentrantLockMetadataTest, EvaluatorMayTakeStateLockHeldByFiringThread) {
   {
     ExclusiveLock processing(p.state_mutex());
     state = 7.0;
-    p.FireMetadataEvent("s");  // must not self-deadlock
+    manager.FireEventDeferred(p, "s");  // takes no structure lock
   }
+  ASSERT_TRUE(scheduler.RunNext());
   EXPECT_EQ(sub->Get().AsDouble(), 7.0);
 }
 

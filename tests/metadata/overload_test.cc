@@ -329,6 +329,28 @@ TEST(OverloadTest, BreakerTripsAndResetsAfterQuiet) {
   EXPECT_EQ(fx.manager.stats().breakers_active, 0u);
 }
 
+TEST(OverloadTest, DisablingDampingClearsATrippedBreaker) {
+  // Damping switched off while an origin's breaker is tripped and one more
+  // event is coalesced: the pending flush still runs the last wave, and no
+  // flush comes back afterwards to close the breaker — so that flush must.
+  StormFixture fx;
+  StormDampingOptions opts;
+  opts.max_waves_per_sec = 1.0;
+  opts.burst = 1.0;
+  opts.breaker_trip_coalesced = 10;
+  opts.breaker_batch_interval = 100 * kMicrosPerMilli;
+  fx.manager.EnableStormDamping(opts);
+  for (int i = 0; i < 11; ++i) fx.manager.FireEvent(fx.p, "src");
+  ASSERT_EQ(fx.manager.stats().breakers_active, 1u);
+  fx.manager.FireEvent(fx.p, "src");  // coalesced into the pending flush
+  const int evals_before = *fx.dst_evals;
+
+  fx.manager.DisableStormDamping();
+  fx.RunFor(Seconds(1));
+  EXPECT_GT(*fx.dst_evals, evals_before) << "the last coalesced event is lost";
+  EXPECT_EQ(fx.manager.stats().breakers_active, 0u);
+}
+
 TEST(OverloadTest, EventDuringAFlushWaveArmsTheOnlyNextFlush) {
   // A tripped origin's flush wave can itself coalesce a new event: here the
   // dependent's evaluator fires the origin again. That event arms the next

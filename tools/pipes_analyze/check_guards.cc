@@ -30,8 +30,7 @@ constexpr const char* kCheck = "guard-coverage";
 
 /// Lock capabilities: a lock member is the guard, not guarded state.
 bool IsLockType(const std::string& ident) {
-  return ident == "Mutex" || ident == "RecursiveMutex" ||
-         ident == "ReentrantSharedMutex";
+  return ident == "Mutex" || ident == "ReentrantSharedMutex";
 }
 
 struct Member {
