@@ -4,16 +4,17 @@
 #include <chrono>
 #include <ctime>
 
+#include "common/sharded_counter.h"
+
 namespace pipes {
 
 namespace {
-// Process-wide tally of wall-clock uses; see SystemClockUseCount().
-std::atomic<uint64_t> system_clock_uses{0};
+// Tally of wall-clock uses; see SystemClockUseCount(). Sharded so that
+// threads reading the clock do not all write one cache line.
+constinit ShardedCounter system_clock_uses;
 }  // namespace
 
-uint64_t SystemClockUseCount() {
-  return system_clock_uses.load(std::memory_order_relaxed);
-}
+uint64_t SystemClockUseCount() { return system_clock_uses.Value(); }
 
 Timestamp VirtualClock::Advance(Duration delta) {
   assert(delta >= 0 && "VirtualClock cannot move backwards");
@@ -29,7 +30,7 @@ void VirtualClock::Set(Timestamp t) {
 }
 
 SystemClock::SystemClock() {
-  system_clock_uses.fetch_add(1, std::memory_order_relaxed);
+  system_clock_uses.Increment();
   // pipes-analyze: nondeterministic(SystemClock is the sanctioned wall-clock source; every read is counted)
   auto now = std::chrono::steady_clock::now().time_since_epoch();
   epoch_ = std::chrono::duration_cast<std::chrono::microseconds>(now).count();
@@ -41,7 +42,7 @@ SystemClock::SystemClock() {
 }
 
 Timestamp SystemClock::Now() const {
-  system_clock_uses.fetch_add(1, std::memory_order_relaxed);
+  system_clock_uses.Increment();
   // pipes-analyze: nondeterministic(SystemClock::Now, counted via SystemClockUseCount)
   auto now = std::chrono::steady_clock::now().time_since_epoch();
   Timestamp t =

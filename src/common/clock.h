@@ -91,10 +91,14 @@ class SystemClock final : public Clock {
 };
 
 /// Process-wide count of SystemClock uses (constructions + Now() reads).
-/// Monotone, never reset. The deterministic simulation harness snapshots it
-/// around a run and fails the run if it moved: a simulation-reachable code
-/// path consulted the wall clock, which would break seed replay (every
-/// simulated component must take its time from the run's VirtualClock).
+/// Monotone, never reset. Each thread counts on its own cache-line stripe,
+/// so a read sums the stripes: it never decreases, and it is exact once the
+/// counting threads have quiesced (a read racing with Now() calls on other
+/// threads may miss the ones still in flight). The deterministic simulation
+/// harness snapshots it around a run and fails the run if it moved: a
+/// simulation-reachable code path consulted the wall clock, which would
+/// break seed replay (every simulated component must take its time from the
+/// run's VirtualClock).
 uint64_t SystemClockUseCount();
 
 /// \brief Measures CPU time consumed by the calling thread.

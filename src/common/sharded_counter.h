@@ -10,13 +10,17 @@
 namespace pipes {
 
 /// A monotone event counter whose increments from different threads land on
-/// different cache lines, so counting on a many-reader hot path (e.g.
-/// MetadataHandler::Get) does not make the readers ping-pong one line.
+/// different cache lines, so counting on a many-thread hot path (e.g.
+/// MetadataHandler::Get, the manager's per-wave stats, SystemClock::Now)
+/// does not make the threads ping-pong one line.
 /// Value() sums the stripes: always monotone, exact once writers quiesce.
+/// Constant-initializable, so it can be a `constinit` global.
 class ShardedCounter {
  public:
-  void Increment() {
-    stripes_[ThreadStripe()].v.fetch_add(1, std::memory_order_relaxed);
+  void Increment() { Add(1); }
+
+  void Add(uint64_t n) {
+    stripes_[ThreadStripe()].v.fetch_add(n, std::memory_order_relaxed);
   }
 
   uint64_t Value() const {

@@ -82,7 +82,7 @@ MetadataValue MetadataHandler::Get() {
     if (desc_->has_fallback()) return desc_->fallback_value();
     return LoadValue();
   }
-  return DoGet(manager_.clock().Now());
+  return DoGet();
 }
 
 Timestamp MetadataHandler::last_updated() const {
@@ -381,7 +381,7 @@ void StaticMetadataHandler::Activate(Timestamp now) {
   }
 }
 
-MetadataValue StaticMetadataHandler::DoGet(Timestamp) {
+MetadataValue StaticMetadataHandler::DoGet() {
   return LoadValueOrFallback();
 }
 
@@ -393,9 +393,11 @@ void OnDemandMetadataHandler::Activate(Timestamp now) {
   StoreValue(MetadataValue::Null(), now);
 }
 
-MetadataValue OnDemandMetadataHandler::DoGet(Timestamp now) {
-  // elapsed() spans back to the last *successful* evaluation, so a contained
-  // failure leaves rate computations consistent.
+MetadataValue OnDemandMetadataHandler::DoGet() {
+  // The one read that depends on the time. elapsed() spans back to the last
+  // *successful* evaluation, so a contained failure leaves rate
+  // computations consistent.
+  Timestamp now = manager_.clock().Now();
   Duration elapsed = now - last_updated();
   return EvaluateAndStore(now, elapsed);
 }
@@ -474,7 +476,7 @@ void PeriodicMetadataHandler::Tick(Timestamp now) {
   if (updated) manager_.PropagateFrom(*this, now);
 }
 
-MetadataValue PeriodicMetadataHandler::DoGet(Timestamp) {
+MetadataValue PeriodicMetadataHandler::DoGet() {
   // Consumers always read the value of the last completed window — the
   // isolation condition of §3.1.
   return LoadValueOrFallback();
@@ -493,7 +495,7 @@ void TriggeredMetadataHandler::RefreshFromWave(Timestamp now) {
   EvaluateAndStore(now, elapsed);
 }
 
-MetadataValue TriggeredMetadataHandler::DoGet(Timestamp) {
+MetadataValue TriggeredMetadataHandler::DoGet() {
   return LoadValueOrFallback();
 }
 

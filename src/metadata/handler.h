@@ -70,7 +70,8 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   const MetadataDescriptor& descriptor() const { return *desc_; }
 
   /// Returns the current metadata value (mechanism-specific: cached for
-  /// static/periodic/triggered, computed on the spot for on-demand).
+  /// static/periodic/triggered, computed on the spot for on-demand). Only
+  /// on-demand reads consult the clock.
   MetadataValue Get();
 
   /// Numeric convenience for Get().
@@ -153,8 +154,9 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
                   std::vector<std::shared_ptr<MetadataHandler>> deps);
 
  protected:
-  /// Mechanism-specific read.
-  virtual MetadataValue DoGet(Timestamp now) = 0;
+  /// Mechanism-specific read. Only a mechanism whose read depends on the
+  /// time (on-demand) reads the clock, so cached reads stay off it.
+  virtual MetadataValue DoGet() = 0;
 
   /// Runs the descriptor's evaluator with a context exposing `deps_`,
   /// `elapsed`, and the previous value. Serialized per handler. May throw
@@ -334,7 +336,6 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
 
   /// Sharded: Get() is the many-reader hot path and must not make all
   /// consumers contend on one counter cache line.
-  // pipes-analyze: unguarded(ShardedCounter is internally atomic per shard)
   ShardedCounter access_count_;
   std::atomic<uint64_t> update_count_{0};
   std::atomic<uint64_t> eval_count_{0};
@@ -346,7 +347,7 @@ class StaticMetadataHandler final : public MetadataHandler {
   using MetadataHandler::MetadataHandler;
 
  private:
-  MetadataValue DoGet(Timestamp now) override;
+  MetadataValue DoGet() override;
   void Activate(Timestamp now) override;
 };
 
@@ -360,7 +361,7 @@ class OnDemandMetadataHandler final : public MetadataHandler {
   using MetadataHandler::MetadataHandler;
 
  private:
-  MetadataValue DoGet(Timestamp now) override;
+  MetadataValue DoGet() override;
   void Activate(Timestamp now) override;
 };
 
@@ -388,7 +389,7 @@ class PeriodicMetadataHandler final : public MetadataHandler {
  private:
   friend class MetadataManager;
 
-  MetadataValue DoGet(Timestamp now) override;
+  MetadataValue DoGet() override;
   void Activate(Timestamp now) override;
   void Deactivate() override;
 
@@ -427,7 +428,7 @@ class TriggeredMetadataHandler final : public MetadataHandler {
   using MetadataHandler::MetadataHandler;
 
  private:
-  MetadataValue DoGet(Timestamp now) override;
+  MetadataValue DoGet() override;
   void Activate(Timestamp now) override;
   void RefreshFromWave(Timestamp now) override;
 };

@@ -430,7 +430,7 @@ void MetadataManager::FireEvent(MetadataProvider& provider,
   std::shared_ptr<MetadataHandler> handler =
       provider.metadata_registry().GetHandler(key);
   if (handler == nullptr) return;
-  stats_events_.fetch_add(1, std::memory_order_relaxed);
+  stats_events_.Increment();
   PropagateFrom(*handler, clock().Now());
 }
 
@@ -449,7 +449,7 @@ void MetadataManager::FireEventDeferred(MetadataProvider& provider,
   scheduler_.ScheduleAt(clock().Now(), [this, weak] {
     std::shared_ptr<MetadataHandler> handler = weak.lock();
     if (handler == nullptr || handler->retired()) return;
-    stats_events_.fetch_add(1, std::memory_order_relaxed);
+    stats_events_.Increment();
     PropagateFrom(*handler, clock().Now());
   });
 }
@@ -462,7 +462,7 @@ void MetadataManager::RefreshContained(MetadataHandler& h, Timestamp now) {
   try {
     h.RefreshFromWave(now);
   } catch (...) {
-    stats_eval_failures_.fetch_add(1, std::memory_order_relaxed);
+    stats_eval_failures_.Increment();
   }
 }
 
@@ -490,18 +490,17 @@ void MetadataManager::RunWave(MetadataHandler& origin, Timestamp now) {
   if (plan == nullptr || plan->epoch != epoch) {
     plan = RebuildWavePlan(origin, epoch);
     origin.wave_plan_.store(plan, std::memory_order_release);
-    stats_wave_plan_rebuilds_.fetch_add(1, std::memory_order_relaxed);
+    stats_wave_plan_rebuilds_.Increment();
   } else {
-    stats_wave_plan_hits_.fetch_add(1, std::memory_order_relaxed);
+    stats_wave_plan_hits_.Increment();
   }
-  stats_waves_.fetch_add(1, std::memory_order_relaxed);
+  stats_waves_.Increment();
 
   if (plan->refresh.empty()) return;
   for (MetadataHandler* h : plan->refresh) {
     RefreshContained(*h, now);
   }
-  stats_wave_refreshes_.fetch_add(plan->refresh.size(),
-                                  std::memory_order_relaxed);
+  stats_wave_refreshes_.Add(plan->refresh.size());
 }
 
 std::shared_ptr<const MetadataHandler::WavePlan>
@@ -804,15 +803,14 @@ MetadataManagerStats MetadataManager::stats() const {
   s.handlers_created = stats_created_.load(std::memory_order_relaxed);
   s.handlers_removed = stats_removed_.load(std::memory_order_relaxed);
   s.active_handlers = stats_active_.load(std::memory_order_relaxed);
-  s.evaluations = stats_evaluations_.load(std::memory_order_relaxed);
-  s.waves = stats_waves_.load(std::memory_order_relaxed);
-  s.wave_refreshes = stats_wave_refreshes_.load(std::memory_order_relaxed);
-  s.events_fired = stats_events_.load(std::memory_order_relaxed);
-  s.wave_plan_hits = stats_wave_plan_hits_.load(std::memory_order_relaxed);
-  s.wave_plan_rebuilds =
-      stats_wave_plan_rebuilds_.load(std::memory_order_relaxed);
-  s.eval_failures = stats_eval_failures_.load(std::memory_order_relaxed);
-  s.evals_skipped = stats_evals_skipped_.load(std::memory_order_relaxed);
+  s.evaluations = stats_evaluations_.Value();
+  s.waves = stats_waves_.Value();
+  s.wave_refreshes = stats_wave_refreshes_.Value();
+  s.events_fired = stats_events_.Value();
+  s.wave_plan_hits = stats_wave_plan_hits_.Value();
+  s.wave_plan_rebuilds = stats_wave_plan_rebuilds_.Value();
+  s.eval_failures = stats_eval_failures_.Value();
+  s.evals_skipped = stats_evals_skipped_.Value();
   s.degradations = stats_degradations_.load(std::memory_order_relaxed);
   s.quarantines = stats_quarantines_.load(std::memory_order_relaxed);
   s.recoveries = stats_recoveries_.load(std::memory_order_relaxed);

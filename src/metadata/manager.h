@@ -22,6 +22,7 @@
 #include "common/mutex.h"
 #include "common/reentrant_shared_mutex.h"
 #include "common/scheduler.h"
+#include "common/sharded_counter.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "metadata/handler.h"
@@ -385,17 +386,17 @@ class MetadataManager {
 
   /// Internal: one evaluator invocation happened (called by handlers).
   void CountEvaluation() {
-    stats_evaluations_.fetch_add(1, std::memory_order_relaxed);
+    stats_evaluations_.Increment();
   }
 
   /// Internal: one evaluator fault was contained (called by handlers).
   void CountEvaluationFailure() {
-    stats_eval_failures_.fetch_add(1, std::memory_order_relaxed);
+    stats_eval_failures_.Increment();
   }
 
   /// Internal: one evaluation was skipped by quarantine backoff.
   void CountSkippedEvaluation() {
-    stats_evals_skipped_.fetch_add(1, std::memory_order_relaxed);
+    stats_evals_skipped_.Increment();
   }
 
   /// Internal: a handler's health changed from `from` to `to`; updates the
@@ -572,19 +573,23 @@ class MetadataManager {
   StormDampingOptions storm_options_ PIPES_GUARDED_BY(storm_mu_);
   ///@}
 
+  /// Per-event counters: bumped on every event, wave and evaluation, by
+  /// every driving thread. Sharded so that waves from disjoint origins on
+  /// different threads do not all write one cache line.
+  ShardedCounter stats_events_;
+  ShardedCounter stats_waves_;
+  ShardedCounter stats_wave_refreshes_;
+  ShardedCounter stats_wave_plan_hits_;
+  ShardedCounter stats_wave_plan_rebuilds_;
+  ShardedCounter stats_evaluations_;
+  ShardedCounter stats_eval_failures_;
+  ShardedCounter stats_evals_skipped_;
+
   std::atomic<uint64_t> stats_subscriptions_{0};
   std::atomic<uint64_t> stats_unsubscriptions_{0};
   std::atomic<uint64_t> stats_created_{0};
   std::atomic<uint64_t> stats_removed_{0};
   std::atomic<uint64_t> stats_active_{0};
-  std::atomic<uint64_t> stats_evaluations_{0};
-  std::atomic<uint64_t> stats_waves_{0};
-  std::atomic<uint64_t> stats_wave_refreshes_{0};
-  std::atomic<uint64_t> stats_wave_plan_hits_{0};
-  std::atomic<uint64_t> stats_wave_plan_rebuilds_{0};
-  std::atomic<uint64_t> stats_events_{0};
-  std::atomic<uint64_t> stats_eval_failures_{0};
-  std::atomic<uint64_t> stats_evals_skipped_{0};
   std::atomic<uint64_t> stats_degradations_{0};
   std::atomic<uint64_t> stats_quarantines_{0};
   std::atomic<uint64_t> stats_recoveries_{0};

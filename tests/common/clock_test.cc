@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 
@@ -35,6 +36,24 @@ TEST(SystemClockTest, StartsNearZeroAndIsMonotone) {
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   Timestamp t1 = c.Now();
   EXPECT_GT(t1, t0);
+}
+
+// The simulation harness's wall-clock check compares two tallies taken
+// while no thread reads the clock, so every read on every thread must show.
+TEST(SystemClockTest, UseCountCountsEveryReadOnEveryThread) {
+  constexpr int kThreads = 4;
+  constexpr int kReads = 10000;
+  SystemClock c;  // construction counts too: take the snapshot after it
+  const uint64_t before = SystemClockUseCount();
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&c] {
+      for (int i = 0; i < kReads; ++i) c.Now();
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(SystemClockUseCount() - before,
+            static_cast<uint64_t>(kThreads) * kReads);
 }
 
 TEST(ThreadCpuTimerTest, AccumulatesWithWork) {

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
+#include "common/clock.h"
+#include "common/scheduler.h"
 #include "metadata/handler.h"
 #include "metadata/probes.h"
 #include "test_support.h"
@@ -225,6 +229,64 @@ TEST(TriggeredHandlerTest, CostsNothingWhileUnderlyingIsQuiet) {
   // A manual event notification (the developer "fires triggers manually").
   p.FireMetadataEvent("state");
   EXPECT_EQ(*calls, 2);
+}
+
+// ---------------------------------------------------------------------------
+// Cached reads stay off the clock: only on-demand reads depend on the time.
+// ---------------------------------------------------------------------------
+
+/// A wall clock that counts the reads made on the thread that built it, so
+/// the scheduler worker's own reads do not show.
+class TestThreadCountingClock final : public Clock {
+ public:
+  Timestamp Now() const override {
+    if (std::this_thread::get_id() == owner_) {
+      reads_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return inner_.Now();
+  }
+  uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
+
+ private:
+  SystemClock inner_;
+  std::thread::id owner_ = std::this_thread::get_id();
+  mutable std::atomic<uint64_t> reads_{0};
+};
+
+TEST(CachedReadTest, OnlyOnDemandReadsTheClock) {
+  TestThreadCountingClock clock;
+  ThreadPoolScheduler scheduler(1, &clock);
+  MetadataManager manager(scheduler);
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("static", 1)).ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Periodic("periodic", Seconds(3600))
+                             .WithEvaluator([](EvalContext&) {
+                               return MetadataValue(2.0);
+                             }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("triggered")
+                             .WithEvaluator([](EvalContext&) {
+                               return MetadataValue(3.0);
+                             }))
+                  .ok());
+  auto calls = std::make_shared<int>(0);
+  ASSERT_TRUE(reg.Define(testing::CountingOnDemand("ondemand", calls)).ok());
+
+  constexpr int kReads = 1000;
+  for (const char* key : {"static", "periodic", "triggered"}) {
+    auto sub = manager.Subscribe(p, key);
+    ASSERT_TRUE(sub.ok()) << key;
+    const uint64_t before = clock.reads();
+    for (int i = 0; i < kReads; ++i) sub->Get();
+    EXPECT_EQ(clock.reads() - before, 0u) << key;
+  }
+  auto sub = manager.Subscribe(p, "ondemand");
+  ASSERT_TRUE(sub.ok());
+  const uint64_t before = clock.reads();
+  for (int i = 0; i < kReads; ++i) sub->Get();
+  EXPECT_EQ(clock.reads() - before, static_cast<uint64_t>(kReads));
+  EXPECT_EQ(*calls, kReads);
 }
 
 // ---------------------------------------------------------------------------

@@ -45,9 +45,11 @@ TEST(PipesAnalyzeFixtures, GuardCoverageFlagsUnwaivedMember) {
   EXPECT_EQ(findings[0].check, "guard-coverage");
   EXPECT_EQ(findings[0].file, "src/common/account.h");
   EXPECT_NE(findings[0].message.find("cached_total_"), std::string::npos);
-  // The annotated, lock, and waived members must not be flagged.
+  // The annotated, lock, waived and sharded-counter members must not be
+  // flagged.
   EXPECT_EQ(findings[0].message.find("balance_"), std::string::npos);
   EXPECT_EQ(Render(findings).find("audited_"), std::string::npos);
+  EXPECT_EQ(Render(findings).find("deposits_"), std::string::npos);
 }
 
 TEST(PipesAnalyzeFixtures, LayeringFlagsInversionAndTestInclude) {

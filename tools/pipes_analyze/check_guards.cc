@@ -1,7 +1,8 @@
 /// \file check_guards.cc
 /// \brief guard-coverage: in any class that uses PIPES_GUARDED_BY /
 /// PIPES_PT_GUARDED_BY, every mutable data member must itself be annotated,
-/// a std::atomic, a lock, const, a reference, or carry an explicit
+/// a std::atomic (or a ShardedCounter, a set of atomics), a lock, const, a
+/// reference, or carry an explicit
 /// `// pipes-analyze: unguarded(<reason>)` waiver.
 ///
 /// Rationale: Clang's -Wthread-safety only checks members that are
@@ -186,6 +187,7 @@ void ClassifyStatement(Stmt stmt, ClassInfo* cls) {
         t.text == "atomic_uint64_t") {
       m.exempt = true;
     }
+    if (t.text == "ShardedCounter") m.exempt = true;  // atomic stripes
   }
   cls->members.push_back(std::move(m));
 }
