@@ -137,13 +137,16 @@ std::vector<MetadataHandler*> MetadataHandler::dependents() const {
 MetadataValue MetadataHandler::Evaluate(Timestamp now, Duration elapsed) {
   if (!desc_->evaluator()) return MetadataValue::Null();
   MutexLock lock(eval_mu_);
-  uint64_t index = eval_count_.fetch_add(1, std::memory_order_relaxed);
+  uint64_t index = eval_count_.load(std::memory_order_relaxed);
+  eval_count_.store(index + 1, std::memory_order_relaxed);
   manager_.CountEvaluation();
   HandlerEvalContext ctx(owner_, now, elapsed, LoadValue(), index, deps_);
   return desc_->evaluator()(ctx);
 }
 
 bool MetadataHandler::InBackoff(Timestamp now) const {
+  // A clean handler is not quarantined; skip the lock.
+  if (health_clean_.load(std::memory_order_acquire)) return false;
   MutexLock lock(health_mu_);
   return health_ == HandlerHealth::kQuarantined &&
          retry_at_ != kTimestampNever && now < retry_at_;
@@ -203,6 +206,9 @@ MetadataValue MetadataHandler::EvaluateAndStore(Timestamp now, Duration elapsed,
 
 void MetadataHandler::RecordSuccess(Timestamp now) {
   (void)now;
+  // A clean handler is exactly the state the locked path below would leave
+  // unchanged, so there is nothing to record.
+  if (health_clean_.load(std::memory_order_acquire)) return;
   HandlerHealth old_health;
   HandlerHealth new_health;
   {
@@ -211,7 +217,10 @@ void MetadataHandler::RecordSuccess(Timestamp now) {
     current_backoff_ = 0;
     retry_at_ = kTimestampNever;  // probes succeeded; stop gating evals
     old_health = health_;
-    if (health_ == HandlerHealth::kHealthy) return;
+    if (health_ == HandlerHealth::kHealthy) {
+      health_clean_.store(true, std::memory_order_release);
+      return;
+    }
     ++consecutive_successes_;
     if (consecutive_successes_ < desc_->retry_policy().successes_to_recover) {
       return;
@@ -219,6 +228,7 @@ void MetadataHandler::RecordSuccess(Timestamp now) {
     health_ = HandlerHealth::kHealthy;
     consecutive_successes_ = 0;
     last_error_.clear();
+    health_clean_.store(true, std::memory_order_release);
     new_health = health_;
   }
   recovery_count_.fetch_add(1, std::memory_order_relaxed);
@@ -233,6 +243,7 @@ void MetadataHandler::RecordFailure(Timestamp now, std::string error) {
     const RetryPolicy& policy = desc_->retry_policy();
     consecutive_successes_ = 0;
     ++consecutive_failures_;
+    health_clean_.store(false, std::memory_order_release);
     last_error_ = std::move(error);
     old_health = health_;
     if (consecutive_failures_ >= policy.failures_to_quarantine) {
@@ -292,12 +303,19 @@ void MetadataHandler::PublishSlot(const MetadataValue& v, Timestamp now) {
   // payload with relaxed stores, make it even again with release ordering.
   // The release fence keeps the odd store from sinking below the payload
   // stores; the final release store keeps the payload from sinking below it.
+  // The string slot is non-null only under a kString tag, so a number over a
+  // number leaves it alone, while a number over a string still nulls it and
+  // releases the string at once. value_mu_ makes the tag read our own.
+  const bool was_string = static_cast<SlotTag>(value_tag_.load(
+                              std::memory_order_relaxed)) == SlotTag::kString;
   uint64_t seq = value_seq_.load(std::memory_order_relaxed);
   value_seq_.store(seq + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
   value_tag_.store(static_cast<uint8_t>(tag), std::memory_order_relaxed);
   value_bits_.store(bits, std::memory_order_relaxed);
-  value_str_.store(std::move(str), std::memory_order_relaxed);
+  if (tag == SlotTag::kString || was_string) {
+    value_str_.store(std::move(str), std::memory_order_relaxed);
+  }
   last_updated_.store(now, std::memory_order_relaxed);
   value_seq_.store(seq + 2, std::memory_order_release);
 }
@@ -337,7 +355,8 @@ void MetadataHandler::StoreValue(MetadataValue v, Timestamp now) {
   // orders those publishes so the slot never interleaves two writers.
   MutexLock lock(value_mu_);
   PublishSlot(v, now);
-  update_count_.fetch_add(1, std::memory_order_relaxed);
+  update_count_.store(update_count_.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
   // Journal inside value_mu_ so journal order matches publish order: the
   // last kValue record for this key is the value the slot held at the
   // crash. The hook is one atomic load when durability is off.

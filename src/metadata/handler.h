@@ -260,7 +260,8 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
     std::vector<MetadataHandler*> refresh;
   };
 
-  /// Health state machine (guarded by health_mu_).
+  /// Health state machine (guarded by health_mu_). While `health_clean_` is
+  /// set, InBackoff and RecordSuccess return without taking the lock.
   void RecordSuccess(Timestamp now);
   void RecordFailure(Timestamp now, std::string error);
   /// True when a quarantined handler is still inside its backoff window.
@@ -278,7 +279,8 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   /// updates" (§2.1) without reader-side blocking. All payload fields are
   /// relaxed atomics so torn-read freedom is machine-checkable under TSan;
   /// string payloads are immutable and swapped whole via an atomic
-  /// shared_ptr.
+  /// shared_ptr, which is non-null only while the tag is kString: a publish
+  /// stores it only when the new or the previous tag is kString.
   ///@{
   enum class SlotTag : uint8_t { kNull, kBool, kInt, kDouble, kString };
 
@@ -305,6 +307,11 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   /// Next allowed eval in quarantine.
   Timestamp retry_at_ PIPES_GUARDED_BY(health_mu_) = kTimestampNever;
   std::string last_error_ PIPES_GUARDED_BY(health_mu_);
+  /// True iff health_ == kHealthy and consecutive_failures_ == 0, which
+  /// imply retry_at_ == kTimestampNever and current_backoff_ == 0: the
+  /// state a success leaves unchanged. Written only under health_mu_; read
+  /// without it by the healthy fast path.
+  std::atomic<bool> health_clean_{true};
   /// Jitter source for quarantine retry delays (RetryPolicy::backoff_jitter).
   /// Seeded from the item identity in the constructor, so runs replay
   /// exactly while distinct handlers still decorrelate.
@@ -337,6 +344,8 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   /// Sharded: Get() is the many-reader hot path and must not make all
   /// consumers contend on one counter cache line.
   ShardedCounter access_count_;
+  /// Written under value_mu_ and eval_mu_ respectively, so a relaxed load
+  /// plus store suffices; atomic because their readers take no lock.
   std::atomic<uint64_t> update_count_{0};
   std::atomic<uint64_t> eval_count_{0};
 };

@@ -412,7 +412,7 @@ void MetadataDurability::RegisterProvider(const MetadataProvider* provider) {
 
 void MetadataDurability::OnDefine(const MetadataProvider& provider,
                                   const MetadataDescriptor& desc) {
-  // Journal-only: called while the registry lock (rank 450) is held, so the
+  // Journal-only: called while the registry lock (rank 570) is held, so the
   // journal's LSN order matches the registry's mutation order for
   // concurrent Define/Undefine of the same key. Roster registration
   // (providers_mu_, rank 250 — would invert) happens before the registry

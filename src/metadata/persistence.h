@@ -206,9 +206,9 @@ class RecoveryPendingError : public std::runtime_error {
 ///
 /// Lock ranks (see lock_order.h): ckpt_mu_ (180) is held across the
 /// consistent gather (shared structure lock 200, then providers_mu_ 250 for
-/// the whole gather, registries 450 inside it); journal_mu_ (580) is the
+/// the whole gather, registries 570 inside it); journal_mu_ (580) is the
 /// innermost metadata lock so value commits (under value_mu 560), registry
-/// mutations (under the registry lock 450), and subscription changes (under
+/// mutations (under the registry lock 570), and subscription changes (under
 /// the exclusive structure lock 200) may journal in place — which is what
 /// keeps journal LSN order consistent with in-memory mutation order.
 class MetadataDurability {

@@ -108,7 +108,7 @@ class MetadataRegistry {
   /// Called *under* mu_, immediately after the map mutation, so the
   /// journal's LSN order matches the in-memory mutation order for
   /// concurrent Define/Undefine of the same key (the journal mutex, rank
-  /// 580, legally nests inside the registry lock, rank 450). No-op until
+  /// 580, legally nests inside the registry lock, rank 570). No-op until
   /// both a manager and an owner are attached.
   void JournalDefine(const std::shared_ptr<const MetadataDescriptor>& stored)
       PIPES_REQUIRES(mu_);
@@ -126,7 +126,7 @@ class MetadataRegistry {
       PIPES_GUARDED_BY(mu_);
   /// The manager of this provider's graph (nullptr until first inclusion or
   /// explicit attachment). BumpStructureEpoch is a bare atomic increment, so
-  /// calling it under mu_ (rank 450) cannot violate the lock order.
+  /// calling it under mu_ (rank 570) cannot violate the lock order.
   std::atomic<MetadataManager*> manager_{nullptr};
   /// The owning provider (set once at construction, before concurrency).
   const MetadataProvider* owner_ = nullptr;

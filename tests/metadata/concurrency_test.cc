@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -432,6 +433,128 @@ TEST(MetadataConcurrencyTest, SeqlockReadersSeeNoTornStringValues) {
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
   EXPECT_EQ(torn.load(), 0);
+}
+
+TEST(MetadataConcurrencyTest, SeqlockReadersSeeNoTornMixedValues) {
+  // One slot switching between kinds: even n is published as an int, odd n
+  // as the string "n:n". A read pairing one publish's tag with another's
+  // payload shows as a mismatched string or an int outside the published
+  // range. Once a number replaces the last string, the slot must not pin
+  // that string.
+  ThreadPoolScheduler scheduler(1);
+  MetadataManager manager(scheduler);
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  std::atomic<int64_t> state{0};
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("s").WithEvaluator(
+                             [&state](EvalContext&) {
+                               int64_t n = state.load();
+                               if (n % 2 == 0) return MetadataValue(n);
+                               std::string s = std::to_string(n);
+                               return MetadataValue(s + ":" + s);
+                             }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("t")
+                             .DependsOnSelf("s")
+                             .WithEvaluator(
+                                 [](EvalContext& ctx) { return ctx.Dep(0); }))
+                  .ok());
+  auto sub = manager.Subscribe(p, "t");
+  ASSERT_TRUE(sub.ok());
+
+  constexpr int64_t kLastString = 1999;
+  const std::string last_string =
+      std::to_string(kLastString) + ":" + std::to_string(kLastString);
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::atomic<int> torn{0};
+  std::atomic<bool> saw_last_string{false};
+  std::vector<std::weak_ptr<const std::string>> last_strings(4);
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 4; ++i) {
+    readers.emplace_back([&, i] {
+      started.fetch_add(1);
+      while (!stop.load(std::memory_order_acquire)) {
+        MetadataValue v = sub->Get();
+        if (v.is_int()) {
+          int64_t n = v.AsInt();
+          if (n % 2 != 0 || n < 0 || n > state.load()) torn.fetch_add(1);
+          continue;
+        }
+        const std::string& s = v.AsString();
+        size_t colon = s.find(':');
+        bool odd_pair = v.is_string() && colon != std::string::npos &&
+                        colon > 0 &&
+                        s.substr(0, colon) == s.substr(colon + 1) &&
+                        (s[colon - 1] - '0') % 2 == 1;
+        if (!odd_pair) torn.fetch_add(1);
+        last_strings[i] = v.shared_string();
+        if (s == last_string) saw_last_string.store(true);
+      }
+    });
+  }
+  while (started.load() < 4) std::this_thread::yield();
+  for (int64_t n = 1; n <= kLastString; ++n) {
+    state.fetch_add(1);
+    manager.FireEvent(p, "s");
+  }
+  // Let a reader take the last string before a number replaces it.
+  while (!saw_last_string.load()) std::this_thread::yield();
+  state.fetch_add(1);
+  manager.FireEvent(p, "s");
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(sub->Get().AsInt(), kLastString + 1);
+  for (const auto& w : last_strings) {
+    EXPECT_TRUE(w.expired()) << "a numeric publish must release the string";
+  }
+}
+
+TEST(MetadataConcurrencyTest, HealthGaugesAgreeUnderConcurrentFaults) {
+  // Concurrent Get()s of a flaky on-demand item race their successes and
+  // failures through the health state machine. Whatever the interleaving,
+  // the fault counters must agree with the evaluator's throws and the
+  // degradation gauge with the transitions counted into and out of it.
+  ThreadPoolScheduler scheduler(1);
+  MetadataManager manager(scheduler);
+  SimpleProvider p("p");
+  RetryPolicy policy;
+  policy.failures_to_degrade = 2;
+  policy.successes_to_recover = 1;
+  policy.failures_to_quarantine = 1 << 30;  // never skip an evaluation
+  ASSERT_TRUE(p.metadata_registry()
+                  .Define(MetadataDescriptor::OnDemand("x")
+                              .WithEvaluator([](EvalContext& ctx) {
+                                if (ctx.eval_index() % 3 != 0) {
+                                  throw std::runtime_error("flaky");
+                                }
+                                return MetadataValue(1.0);
+                              })
+                              .WithRetryPolicy(policy))
+                  .ok());
+  auto sub = manager.Subscribe(p, "x");
+  ASSERT_TRUE(sub.ok());
+  const auto& h = sub->handler();
+
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 4; ++i) {
+    threads.emplace_back([&] {
+      for (int j = 0; j < 2000; ++j) sub->Get();
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  uint64_t evals = h->eval_count();
+  uint64_t throwing = evals - (evals + 2) / 3;  // indices with i % 3 != 0
+  MetadataManagerStats st = manager.stats();
+  EXPECT_EQ(evals, 4u * 2000u);
+  EXPECT_EQ(h->fault_count(), throwing);
+  EXPECT_EQ(st.eval_failures, throwing);
+  EXPECT_EQ(st.degradations - st.recoveries, st.degraded_handlers);
+  EXPECT_EQ(st.degraded_handlers,
+            h->health() == HandlerHealth::kDegraded ? 1u : 0u);
+  EXPECT_EQ(st.quarantined_handlers, 0u);
 }
 
 TEST(ReentrantLockMetadataTest, EvaluatorMayTakeStateLockHeldByFiringThread) {

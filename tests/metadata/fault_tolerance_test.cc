@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/reentrant_shared_mutex.h"
 #include "metadata/handler.h"
 #include "test_support.h"
 
@@ -128,6 +129,64 @@ TEST(FaultToleranceTest, HealthStateMachineDegradesThenQuarantines) {
   EXPECT_EQ(stats.quarantines, 1u);
   EXPECT_EQ(stats.quarantined_handlers, 1u);
   EXPECT_EQ(stats.degraded_handlers, 0u);  // degraded -> quarantined
+}
+
+TEST(FaultToleranceTest, SuccessResetsAFailureRunWhileHealthy) {
+  // One failure below the degrade threshold leaves the handler healthy but
+  // not clean: the next success must still end the failure run, so a later
+  // failure starts a new run instead of completing the old one.
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto armed = std::make_shared<bool>(true);
+  auto value = std::make_shared<double>(0.0);
+  RetryPolicy policy;
+  policy.failures_to_degrade = 2;
+  ASSERT_TRUE(p.metadata_registry()
+                  .Define(MetadataDescriptor::OnDemand("x")
+                              .WithEvaluator(FlakyEvaluator(armed, value))
+                              .WithRetryPolicy(policy))
+                  .ok());
+  auto sub = fx.manager.Subscribe(p, "x").value();
+
+  sub.Get();  // failure: run of 1, still healthy
+  EXPECT_EQ(sub.handler()->health(), HandlerHealth::kHealthy);
+  EXPECT_EQ(sub.handler()->consecutive_failures(), 1);
+  *armed = false;
+  sub.Get();  // success ends the run
+  EXPECT_EQ(sub.handler()->consecutive_failures(), 0);
+  *armed = true;
+  sub.Get();  // failure: a new run of 1
+  EXPECT_EQ(sub.handler()->health(), HandlerHealth::kHealthy);
+  EXPECT_EQ(sub.handler()->consecutive_failures(), 1);
+  EXPECT_EQ(fx.manager.stats().degradations, 0u);
+}
+
+TEST(FaultToleranceTest, FaultContainedUnderProviderStateLock) {
+  // An operator may read its own on-demand metadata while holding its state
+  // lock. A faulting evaluation then records its failure and gates the next
+  // evaluation under that lock: the state_mu -> health_mu nesting.
+  MetaFixture fx;
+  SimpleProvider p("op");
+  auto armed = std::make_shared<bool>(true);
+  auto value = std::make_shared<double>(0.0);
+  RetryPolicy policy;
+  policy.failures_to_quarantine = 1;
+  policy.initial_backoff = 1000;
+  ASSERT_TRUE(p.metadata_registry()
+                  .Define(MetadataDescriptor::OnDemand("x")
+                              .WithEvaluator(FlakyEvaluator(armed, value))
+                              .WithRetryPolicy(policy)
+                              .WithFallbackValue(2.5))
+                  .ok());
+  auto sub = fx.manager.Subscribe(p, "x").value();
+  {
+    SharedLock processing(p.state_mutex());
+    EXPECT_EQ(sub.GetDouble(), 2.5);  // failure -> quarantined
+    EXPECT_EQ(sub.GetDouble(), 2.5);  // inside the backoff: skipped
+  }
+  EXPECT_EQ(sub.handler()->health(), HandlerHealth::kQuarantined);
+  EXPECT_EQ(sub.handler()->fault_count(), 1u);
+  EXPECT_EQ(sub.handler()->skipped_eval_count(), 1u);
 }
 
 TEST(FaultToleranceTest, QuarantineBackoffSkipsEvaluations) {
