@@ -104,19 +104,19 @@ void Run() {
       "earliest deadline nor had an idle worker to wake.\n\n");
 }
 
-/// S6b — concurrent propagation waves driven from the worker pool itself.
+/// S6b — propagation waves driven from the worker pool itself.
 ///
-/// One-shot tasks fan out over the sharded run queues; each task fires a
-/// propagation wave on one of eight independent triggered chains. Waves
-/// take no wave lock, so with W > 1 workers they execute truly
-/// concurrently (on multi-core hosts), and idle workers steal due tasks
-/// from busy siblings, so throughput tracks core count rather than the
-/// placement of the initial round-robin pushes.
+/// One-shot tasks fan out round-robin over the sharded run queues; each
+/// task fires a propagation wave on one of eight independent triggered
+/// chains, and idle workers steal due tasks from busy siblings. What this
+/// measures is the scheduler hop (push, pop, possibly a steal) plus the
+/// wave, per task, and the steal count. On a 4-core host waves/s does not
+/// grow with the worker count (EXPERIMENTS.md S6b).
 void BM_ConcurrentWaves() {
-  Banner("S6b", "concurrent waves from the worker pool",
-         "sharded run queues + per-origin wave plans: one-shot wave tasks "
-         "spread over per-worker queues and execute in parallel; stolen "
-         "tasks show the pool rebalancing itself");
+  Banner("S6b", "waves driven from the worker pool",
+         "one-shot wave tasks spread over per-worker queues; ns/wave is the "
+         "scheduler hop plus the wave, and stolen tasks show the pool "
+         "rebalancing itself");
   constexpr int kChains = 8;
   constexpr int kDepth = 4;
   constexpr uint64_t kTasks = 20000;

@@ -85,7 +85,11 @@ inline constexpr int kRankOperatorState = 300;     ///< MetadataProvider::state_
 /// registration in Instantiate, deregistration in MaybeRemove) and held
 /// while stretching handler cadences (handler period locks, scheduler locks).
 inline constexpr int kRankPressureControl = 360;
-inline constexpr int kRankHandlerEval = 500;       ///< MetadataHandler::eval_mu
+/// MetadataHandler::eval_mu — the handler's one lock: serializes evaluation,
+/// value publication with its journal append, and the health state machine.
+/// An evaluator reading an on-demand dependency nests one instance inside
+/// another, always from dependent to dependency.
+inline constexpr int kRankHandlerEval = 500;
 /// PeriodicMetadataHandler::period_mu_ — guards the mechanism task handle
 /// while the overload governor swaps cadences; held across Schedule* calls.
 inline constexpr int kRankHandlerPeriod = 520;
@@ -93,11 +97,6 @@ inline constexpr int kRankHandlerPeriod = 520;
 /// token bucket. Taken by wave admission, which a nested wave reaches with
 /// a handler's eval_mu held, and held across the flush's Schedule* call.
 inline constexpr int kRankStormDamping = 530;
-inline constexpr int kRankHandlerHealth = 540;     ///< MetadataHandler::health_mu
-/// MetadataHandler::value_mu — writer-serialization only since the seqlock
-/// value slot: readers (`Get()`/`LoadValue()`) never take it, writers hold
-/// it briefly around PublishSlot.
-inline constexpr int kRankHandlerValue = 560;
 /// MetadataRegistry::mu — descriptor/handler lookup. Resolved while the
 /// provider state lock is held (FireEvent fan-out) *and* from inside an
 /// evaluator that fires a nested event (eval_mu held), so it sits below
@@ -109,14 +108,10 @@ inline constexpr int kRankRegistry = 570;
 /// from evaluators and federation paths holding most metadata locks.
 inline constexpr int kRankNetEndpoint = 610;
 /// MetadataDurability::journal_mu — LSN assignment + group-commit buffer.
-/// Innermost of the metadata locks that nest (only the dependents_mu leaf
-/// ranks above it): value commits journal under value_mu, structure
-/// mutations journal under the exclusive structure lock.
+/// Innermost of the metadata locks that nest: value commits journal under
+/// the handler's eval_mu, structure mutations journal under the exclusive
+/// structure lock.
 inline constexpr int kRankDurabilityJournal = 580;
-/// MetadataHandler::dependents_mu — a leaf around the inverted-graph edge
-/// list. A wave-plan rebuild takes it, and a nested wave rebuilds with the
-/// firing handler's eval_mu held, so it ranks above every handler lock.
-inline constexpr int kRankHandlerDependents = 590;
 inline constexpr int kRankModules = 650;           ///< MetadataProvider::modules_mu
 inline constexpr int kRankScheduler = 700;         ///< scheduler queue locks
 /// TaskScheduler::overload_mu_ — admission/deadline accounting; taken while

@@ -170,36 +170,7 @@ bool VirtualTimeScheduler::PopDue(Timestamp t, Entry* out) {
   return false;
 }
 
-uint64_t VirtualTimeScheduler::RunUntil(Timestamp t) {
-  uint64_t run = 0;
-  Entry e;
-  while (PopDue(t, &e)) {
-    clock_->Set(e.when);
-    Timestamp started = SteadyMicrosNow();
-    e.fn();
-    Duration runtime = SteadyMicrosNow() - started;
-    ++run;
-    bool overrun = IsOverrun(e.period, runtime);
-    {
-      MutexLock lock(mu_);
-      ++stats_.tasks_run;
-      stats_.max_task_runtime = std::max(stats_.max_task_runtime, runtime);
-      if (overrun) ++stats_.overruns;
-      if (e.period > 0 &&
-          !e.state->cancelled.load(std::memory_order_acquire)) {
-        queue_.push(Entry{e.when + e.period, next_seq_++, std::move(e.fn),
-                          e.state, e.period});
-      }
-    }
-    if (overrun) NotifyOverrun(e.when, e.period, runtime);
-  }
-  clock_->Set(t);
-  return run;
-}
-
-bool VirtualTimeScheduler::RunNext() {
-  Entry e;
-  if (!PopDue(kTimestampMax, &e)) return false;
+void VirtualTimeScheduler::RunEntry(Entry& e) {
   clock_->Set(e.when);
   Timestamp started = SteadyMicrosNow();
   e.fn();
@@ -216,6 +187,23 @@ bool VirtualTimeScheduler::RunNext() {
     }
   }
   if (overrun) NotifyOverrun(e.when, e.period, runtime);
+}
+
+uint64_t VirtualTimeScheduler::RunUntil(Timestamp t) {
+  uint64_t run = 0;
+  Entry e;
+  while (PopDue(t, &e)) {
+    RunEntry(e);
+    ++run;
+  }
+  clock_->Set(t);
+  return run;
+}
+
+bool VirtualTimeScheduler::RunNext() {
+  Entry e;
+  if (!PopDue(kTimestampMax, &e)) return false;
+  RunEntry(e);
   return true;
 }
 

@@ -295,6 +295,8 @@ class VirtualTimeScheduler final : public TaskScheduler {
 
   // Pops the next runnable entry with when <= t; returns false if none.
   bool PopDue(Timestamp t, Entry* out);
+  // Runs a popped entry at its time, accounts it and re-arms a periodic one.
+  void RunEntry(Entry& e);
 
   // pipes-analyze: unguarded(fixed at construction; only Run/RunFor advance the clock, single-threaded by contract)
   VirtualClock owned_clock_;

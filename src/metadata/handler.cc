@@ -96,18 +96,16 @@ Duration MetadataHandler::staleness(Timestamp now) const {
 }
 
 HandlerHealth MetadataHandler::health() const {
-  MutexLock lock(health_mu_);
-  return health_;
+  return health_.load(std::memory_order_relaxed);
 }
 
 std::string MetadataHandler::last_error() const {
-  MutexLock lock(health_mu_);
+  MutexLock lock(eval_mu_);
   return last_error_;
 }
 
 int MetadataHandler::consecutive_failures() const {
-  MutexLock lock(health_mu_);
-  return consecutive_failures_;
+  return consecutive_failures_.load(std::memory_order_relaxed);
 }
 
 void MetadataHandler::Retire() {
@@ -129,62 +127,42 @@ void MetadataHandler::Retire() {
   manager_.JournalRetire(owner_, desc_->key());
 }
 
-std::vector<MetadataHandler*> MetadataHandler::dependents() const {
-  MutexLock lock(dependents_mu_);
-  return dependents_;
-}
-
-MetadataValue MetadataHandler::Evaluate(Timestamp now, Duration elapsed) {
-  if (!desc_->evaluator()) return MetadataValue::Null();
-  MutexLock lock(eval_mu_);
-  uint64_t index = eval_count_.load(std::memory_order_relaxed);
-  eval_count_.store(index + 1, std::memory_order_relaxed);
-  manager_.CountEvaluation();
-  HandlerEvalContext ctx(owner_, now, elapsed, LoadValue(), index, deps_);
-  return desc_->evaluator()(ctx);
-}
-
 bool MetadataHandler::InBackoff(Timestamp now) const {
-  // A clean handler is not quarantined; skip the lock.
-  if (health_clean_.load(std::memory_order_acquire)) return false;
-  MutexLock lock(health_mu_);
-  return health_ == HandlerHealth::kQuarantined &&
+  return health_.load(std::memory_order_relaxed) ==
+             HandlerHealth::kQuarantined &&
          retry_at_ != kTimestampNever && now < retry_at_;
 }
 
 MetadataValue MetadataHandler::EvaluateAndStore(Timestamp now, Duration elapsed,
                                                 bool* updated) {
   if (updated != nullptr) *updated = false;
-
-  // A stale value served instead of a fresh evaluation: last-known-good if
-  // one exists, else the descriptor's fallback.
-  auto stale_or_fallback = [this]() -> MetadataValue {
-    MetadataValue lkg = LoadValue();
-    if (lkg.is_null() && desc_->has_fallback()) return desc_->fallback_value();
-    return lkg;
-  };
-
-  if (retired()) return stale_or_fallback();
+  if (retired()) return LoadValueOrFallback();
 
   // Quarantine gate: inside the backoff window the evaluator is not invoked
   // at all — the item degrades gracefully to its last-known-good value.
   if (InBackoff(now)) {
     skipped_evals_.fetch_add(1, std::memory_order_relaxed);
     manager_.CountSkippedEvaluation();
-    return stale_or_fallback();
+    return LoadValueOrFallback();
   }
 
   bool ok = true;
   std::string error;
   MetadataValue v;
-  try {
-    v = Evaluate(now, elapsed);
-  } catch (const std::exception& e) {
-    ok = false;
-    error = e.what();
-  } catch (...) {
-    ok = false;
-    error = "non-standard exception from evaluator";
+  if (desc_->evaluator()) {
+    uint64_t index = eval_count_.load(std::memory_order_relaxed);
+    eval_count_.store(index + 1, std::memory_order_relaxed);
+    manager_.CountEvaluation();
+    HandlerEvalContext ctx(owner_, now, elapsed, LoadValue(), index, deps_);
+    try {
+      v = desc_->evaluator()(ctx);
+    } catch (const std::exception& e) {
+      ok = false;
+      error = e.what();
+    } catch (...) {
+      ok = false;
+      error = "non-standard exception from evaluator";
+    }
   }
   if (ok && v.is_double() && !std::isfinite(v.AsDouble())) {
     ok = false;
@@ -192,89 +170,71 @@ MetadataValue MetadataHandler::EvaluateAndStore(Timestamp now, Duration elapsed,
   }
 
   if (ok) {
-    StoreValue(std::move(v), now);
-    RecordSuccess(now);
+    StoreValue(v, now);
+    RecordSuccess();
     if (updated != nullptr) *updated = true;
-    return LoadValue();
+    return v;
   }
 
   fault_count_.fetch_add(1, std::memory_order_relaxed);
   manager_.CountEvaluationFailure();
   RecordFailure(now, std::move(error));
-  return stale_or_fallback();
+  return LoadValueOrFallback();
 }
 
-void MetadataHandler::RecordSuccess(Timestamp now) {
-  (void)now;
-  // A clean handler is exactly the state the locked path below would leave
-  // unchanged, so there is nothing to record.
-  if (health_clean_.load(std::memory_order_acquire)) return;
-  HandlerHealth old_health;
-  HandlerHealth new_health;
-  {
-    MutexLock lock(health_mu_);
-    consecutive_failures_ = 0;
-    current_backoff_ = 0;
-    retry_at_ = kTimestampNever;  // probes succeeded; stop gating evals
-    old_health = health_;
-    if (health_ == HandlerHealth::kHealthy) {
-      health_clean_.store(true, std::memory_order_release);
-      return;
-    }
-    ++consecutive_successes_;
-    if (consecutive_successes_ < desc_->retry_policy().successes_to_recover) {
-      return;
-    }
-    health_ = HandlerHealth::kHealthy;
-    consecutive_successes_ = 0;
-    last_error_.clear();
-    health_clean_.store(true, std::memory_order_release);
-    new_health = health_;
+void MetadataHandler::RecordSuccess() {
+  consecutive_failures_.store(0, std::memory_order_relaxed);
+  current_backoff_ = 0;
+  retry_at_ = kTimestampNever;  // probes succeeded; stop gating evals
+  const HandlerHealth old_health = health_.load(std::memory_order_relaxed);
+  if (old_health == HandlerHealth::kHealthy) return;
+  if (++consecutive_successes_ < desc_->retry_policy().successes_to_recover) {
+    return;
   }
+  health_.store(HandlerHealth::kHealthy, std::memory_order_relaxed);
+  consecutive_successes_ = 0;
+  last_error_.clear();
   recovery_count_.fetch_add(1, std::memory_order_relaxed);
-  manager_.CountHealthTransition(old_health, new_health);
+  manager_.CountHealthTransition(old_health, HandlerHealth::kHealthy);
 }
 
 void MetadataHandler::RecordFailure(Timestamp now, std::string error) {
-  HandlerHealth old_health;
-  HandlerHealth new_health;
-  {
-    MutexLock lock(health_mu_);
-    const RetryPolicy& policy = desc_->retry_policy();
-    consecutive_successes_ = 0;
-    ++consecutive_failures_;
-    health_clean_.store(false, std::memory_order_release);
-    last_error_ = std::move(error);
-    old_health = health_;
-    if (consecutive_failures_ >= policy.failures_to_quarantine) {
-      health_ = HandlerHealth::kQuarantined;
-    } else if (consecutive_failures_ >= policy.failures_to_degrade) {
-      health_ = HandlerHealth::kDegraded;
+  const RetryPolicy& policy = desc_->retry_policy();
+  const HandlerHealth old_health = health_.load(std::memory_order_relaxed);
+  HandlerHealth new_health = old_health;
+  const int failures =
+      consecutive_failures_.load(std::memory_order_relaxed) + 1;
+  consecutive_failures_.store(failures, std::memory_order_relaxed);
+  consecutive_successes_ = 0;
+  last_error_ = std::move(error);
+  if (failures >= policy.failures_to_quarantine) {
+    new_health = HandlerHealth::kQuarantined;
+  } else if (failures >= policy.failures_to_degrade) {
+    new_health = HandlerHealth::kDegraded;
+  }
+  health_.store(new_health, std::memory_order_relaxed);
+  if (new_health == HandlerHealth::kQuarantined) {
+    // Exponential backoff between retry probes, capped by the policy.
+    if (current_backoff_ <= 0) {
+      current_backoff_ = std::max<Duration>(1, policy.initial_backoff);
+    } else {
+      double next = static_cast<double>(current_backoff_) *
+                    std::max(1.0, policy.backoff_multiplier);
+      current_backoff_ = static_cast<Duration>(
+          std::min(next, static_cast<double>(policy.max_backoff)));
     }
-    if (health_ == HandlerHealth::kQuarantined) {
-      // Exponential backoff between retry probes, capped by the policy.
-      if (current_backoff_ <= 0) {
-        current_backoff_ = std::max<Duration>(1, policy.initial_backoff);
-      } else {
-        double next = static_cast<double>(current_backoff_) *
-                      std::max(1.0, policy.backoff_multiplier);
-        current_backoff_ = static_cast<Duration>(
-            std::min(next, static_cast<double>(policy.max_backoff)));
-      }
-      // The growth above stays deterministic; only the applied delay is
-      // jittered, so handlers quarantined by one correlated fault do not
-      // probe in lockstep (each handler's RNG is seeded from its identity).
-      Duration delay = current_backoff_;
-      double jitter = std::clamp(policy.backoff_jitter, 0.0, 1.0);
-      if (jitter > 0.0) {
-        double factor = backoff_rng_.UniformDouble(1.0 - jitter, 1.0 + jitter);
-        delay = std::max<Duration>(
-            1, static_cast<Duration>(static_cast<double>(delay) * factor));
-        delay = std::min(delay, std::max<Duration>(1, policy.max_backoff));
-      }
-      retry_at_ = now + delay;
+    // The growth above stays deterministic; only the applied delay is
+    // jittered, so handlers quarantined by one correlated fault do not
+    // probe in lockstep (each handler's RNG is seeded from its identity).
+    Duration delay = current_backoff_;
+    double jitter = std::clamp(policy.backoff_jitter, 0.0, 1.0);
+    if (jitter > 0.0) {
+      double factor = backoff_rng_.UniformDouble(1.0 - jitter, 1.0 + jitter);
+      delay = std::max<Duration>(
+          1, static_cast<Duration>(static_cast<double>(delay) * factor));
+      delay = std::min(delay, std::max<Duration>(1, policy.max_backoff));
     }
-    new_health = health_;
+    retry_at_ = now + delay;
   }
   if (old_health != new_health) {
     manager_.CountHealthTransition(old_health, new_health);
@@ -305,7 +265,7 @@ void MetadataHandler::PublishSlot(const MetadataValue& v, Timestamp now) {
   // stores; the final release store keeps the payload from sinking below it.
   // The string slot is non-null only under a kString tag, so a number over a
   // number leaves it alone, while a number over a string still nulls it and
-  // releases the string at once. value_mu_ makes the tag read our own.
+  // releases the string at once. eval_mu_ makes the tag read our own.
   const bool was_string = static_cast<SlotTag>(value_tag_.load(
                               std::memory_order_relaxed)) == SlotTag::kString;
   uint64_t seq = value_seq_.load(std::memory_order_relaxed);
@@ -349,15 +309,11 @@ MetadataValue MetadataHandler::ReadSlot() const {
   }
 }
 
-void MetadataHandler::StoreValue(MetadataValue v, Timestamp now) {
-  // Writers still serialize: concurrent on-demand consumers evaluate one
-  // after another under eval_mu_ but then race here to publish; value_mu_
-  // orders those publishes so the slot never interleaves two writers.
-  MutexLock lock(value_mu_);
+void MetadataHandler::StoreValue(const MetadataValue& v, Timestamp now) {
   PublishSlot(v, now);
   update_count_.store(update_count_.load(std::memory_order_relaxed) + 1,
                       std::memory_order_relaxed);
-  // Journal inside value_mu_ so journal order matches publish order: the
+  // Journal inside eval_mu_ so journal order matches publish order: the
   // last kValue record for this key is the value the slot held at the
   // crash. The hook is one atomic load when durability is off.
   manager_.JournalValue(owner_, desc_->key(), v, now);
@@ -374,7 +330,6 @@ MetadataValue MetadataHandler::LoadValueOrFallback() const {
 void MetadataHandler::RefreshFromWave(Timestamp) {}
 
 void MetadataHandler::AddDependent(MetadataHandler* h) {
-  MutexLock lock(dependents_mu_);
   // Duplicate subscriptions by the same dependent are detected to avoid
   // redundant notifications (paper §3.2.3).
   if (std::find(dependents_.begin(), dependents_.end(), h) ==
@@ -384,7 +339,6 @@ void MetadataHandler::AddDependent(MetadataHandler* h) {
 }
 
 void MetadataHandler::RemoveDependent(MetadataHandler* h) {
-  MutexLock lock(dependents_mu_);
   dependents_.erase(std::remove(dependents_.begin(), dependents_.end(), h),
                     dependents_.end());
 }
@@ -393,6 +347,7 @@ void MetadataHandler::RemoveDependent(MetadataHandler* h) {
 
 void StaticMetadataHandler::Activate(Timestamp now) {
   // Either a literal value or a one-time evaluation.
+  MutexLock lock(eval_mu_);
   if (desc_->evaluator()) {
     EvaluateAndStore(now, 0);
   } else {
@@ -400,25 +355,23 @@ void StaticMetadataHandler::Activate(Timestamp now) {
   }
 }
 
-MetadataValue StaticMetadataHandler::DoGet() {
-  return LoadValueOrFallback();
-}
-
 // --- OnDemandMetadataHandler -------------------------------------------------
 
 void OnDemandMetadataHandler::Activate(Timestamp now) {
   // No pre-computation; remember the inclusion time so the first access has
   // a meaningful elapsed().
+  MutexLock lock(eval_mu_);
   StoreValue(MetadataValue::Null(), now);
 }
 
 MetadataValue OnDemandMetadataHandler::DoGet() {
   // The one read that depends on the time. elapsed() spans back to the last
   // *successful* evaluation, so a contained failure leaves rate
-  // computations consistent.
+  // computations consistent. The time is read under the lock: a racing read
+  // then sees this read's publish and counts no interval twice.
+  MutexLock lock(eval_mu_);
   Timestamp now = manager_.clock().Now();
-  Duration elapsed = now - last_updated();
-  return EvaluateAndStore(now, elapsed);
+  return EvaluateAndStore(now, now - last_updated());
 }
 
 // --- PeriodicMetadataHandler -------------------------------------------------
@@ -426,7 +379,10 @@ MetadataValue OnDemandMetadataHandler::DoGet() {
 void PeriodicMetadataHandler::Activate(Timestamp now) {
   assert(period() > 0 && "periodic metadata item requires a positive period");
   // The value for the (empty) zeroth window; evaluators guard elapsed()==0.
-  EvaluateAndStore(now, 0);
+  {
+    MutexLock lock(eval_mu_);
+    EvaluateAndStore(now, 0);
+  }
   effective_period_.store(period(), std::memory_order_release);
   MutexLock lock(period_mu_);
   Reschedule(period());
@@ -487,18 +443,16 @@ Duration PeriodicMetadataHandler::ApplyDegradationFactor(
 
 void PeriodicMetadataHandler::Tick(Timestamp now) {
   bool updated = false;
-  // elapsed() is the width of the window that just closed — the *effective*
-  // cadence, so rate evaluators stay correct while degraded.
-  EvaluateAndStore(now, effective_period(), &updated);
+  {
+    // elapsed() is the width of the window that just closed — the
+    // *effective* cadence, so rate evaluators stay correct while degraded.
+    MutexLock lock(eval_mu_);
+    EvaluateAndStore(now, effective_period(), &updated);
+  }
   // A contained failure leaves the published value untouched, so there is
-  // nothing for dependents to react to: the wave starts only on success.
+  // nothing for dependents to react to: the wave starts only on success,
+  // and it runs after the origin's lock is released.
   if (updated) manager_.PropagateFrom(*this, now);
-}
-
-MetadataValue PeriodicMetadataHandler::DoGet() {
-  // Consumers always read the value of the last completed window — the
-  // isolation condition of §3.1.
-  return LoadValueOrFallback();
 }
 
 // --- TriggeredMetadataHandler ------------------------------------------------
@@ -506,16 +460,13 @@ MetadataValue PeriodicMetadataHandler::DoGet() {
 void TriggeredMetadataHandler::Activate(Timestamp now) {
   // "The values of metadata items with triggered handlers are pre-computed
   // on the first subscription." (§3.2.3)
+  MutexLock lock(eval_mu_);
   EvaluateAndStore(now, 0);
 }
 
 void TriggeredMetadataHandler::RefreshFromWave(Timestamp now) {
-  Duration elapsed = now - last_updated();
-  EvaluateAndStore(now, elapsed);
-}
-
-MetadataValue TriggeredMetadataHandler::DoGet() {
-  return LoadValueOrFallback();
+  MutexLock lock(eval_mu_);
+  EvaluateAndStore(now, now - last_updated());
 }
 
 }  // namespace pipes

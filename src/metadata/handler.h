@@ -125,9 +125,6 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
     return deps_;
   }
 
-  /// Snapshot of the handlers currently depending on this one.
-  std::vector<MetadataHandler*> dependents() const;
-
   /// \name Usage statistics (profiling, scale benches)
   ///@{
   uint64_t access_count() const { return access_count_.Value(); }
@@ -154,17 +151,14 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
                   std::vector<std::shared_ptr<MetadataHandler>> deps);
 
  protected:
-  /// Mechanism-specific read. Only a mechanism whose read depends on the
-  /// time (on-demand) reads the clock, so cached reads stay off it.
-  virtual MetadataValue DoGet() = 0;
-
-  /// Runs the descriptor's evaluator with a context exposing `deps_`,
-  /// `elapsed`, and the previous value. Serialized per handler. May throw
-  /// (whatever the evaluator throws); use EvaluateAndStore for containment.
-  MetadataValue Evaluate(Timestamp now, Duration elapsed);
+  /// Mechanism-specific read: the stored value, or the descriptor's fallback
+  /// while none was ever computed. Only a mechanism whose read depends on the
+  /// time (on-demand) overrides it, so cached reads stay off the clock.
+  virtual MetadataValue DoGet() { return LoadValueOrFallback(); }
 
   /// \brief Fault-contained evaluation (the only evaluation path handlers
-  /// use): runs the evaluator, rejecting thrown exceptions and non-finite
+  /// use): runs the evaluator with a context exposing `deps_`, `elapsed`,
+  /// and the previous value, rejecting thrown exceptions and non-finite
   /// numeric results.
   ///
   /// On success the value is stored (advancing last_updated()) and the
@@ -177,12 +171,15 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   /// Returns the value consumers should see: the fresh value on success,
   /// otherwise the last-known-good value or the descriptor's fallback.
   /// Never throws. `updated` (optional) reports whether a fresh value was
-  /// stored.
+  /// stored. The caller holds eval_mu_ from before it reads the time the
+  /// evaluation spans, so publishes land in evaluation order.
   MetadataValue EvaluateAndStore(Timestamp now, Duration elapsed,
-                                 bool* updated = nullptr);
+                                 bool* updated = nullptr)
+      PIPES_REQUIRES(eval_mu_);
 
   /// Stores `v` as the current value with update time `now`.
-  void StoreValue(MetadataValue v, Timestamp now);
+  void StoreValue(const MetadataValue& v, Timestamp now)
+      PIPES_REQUIRES(eval_mu_);
 
   /// Reads the stored value.
   MetadataValue LoadValue() const;
@@ -197,6 +194,12 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   MetadataManager& manager_;
   // pipes-analyze: unguarded(wired in the ctor under the exclusive structure lock, read-only afterwards)
   std::vector<std::shared_ptr<MetadataHandler>> deps_;
+
+  /// The handler's one lock (paper §4.2's handler level). Whoever writes the
+  /// handler holds it from evaluation through publication and the health
+  /// update; consumer reads of the value slot never take it.
+  mutable Mutex eval_mu_{"MetadataHandler::eval_mu",
+                         lockorder::kRankHandlerEval};
 
  private:
   friend class MetadataManager;
@@ -260,37 +263,35 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
     std::vector<MetadataHandler*> refresh;
   };
 
-  /// Health state machine (guarded by health_mu_). While `health_clean_` is
-  /// set, InBackoff and RecordSuccess return without taking the lock.
-  void RecordSuccess(Timestamp now);
-  void RecordFailure(Timestamp now, std::string error);
+  /// Health state machine (see RetryPolicy).
+  void RecordSuccess() PIPES_REQUIRES(eval_mu_);
+  void RecordFailure(Timestamp now, std::string error) PIPES_REQUIRES(eval_mu_);
   /// True when a quarantined handler is still inside its backoff window.
-  bool InBackoff(Timestamp now) const;
+  bool InBackoff(Timestamp now) const PIPES_REQUIRES(eval_mu_);
 
   /// \name Seqlock value slot
   ///
   /// The published value lives in a sequence-counter-validated slot so that
   /// consumer reads (`Get()`, `LoadValue()`, `last_updated()`) never take a
   /// lock: readers snapshot the payload fields between two even reads of
-  /// `value_seq_` and retry on mismatch. Writers serialize on `value_mu_`
-  /// (concurrent on-demand accesses may race to store after their serialized
-  /// evaluations finish) and flip the counter odd around their stores — the
-  /// paper's "consistent view on a metadata item for all consumers during
-  /// updates" (§2.1) without reader-side blocking. All payload fields are
-  /// relaxed atomics so torn-read freedom is machine-checkable under TSan;
-  /// string payloads are immutable and swapped whole via an atomic
-  /// shared_ptr, which is non-null only while the tag is kString: a publish
-  /// stores it only when the new or the previous tag is kString.
+  /// `value_seq_` and retry on mismatch. Writers serialize on `eval_mu_`,
+  /// held from evaluation through publication, and flip the counter odd
+  /// around their stores — the paper's "consistent view on a metadata item
+  /// for all consumers during updates" (§2.1) without reader-side blocking.
+  /// All payload fields are relaxed atomics so torn-read freedom is
+  /// machine-checkable under TSan; string payloads are immutable and swapped
+  /// whole via an atomic shared_ptr, which is non-null only while the tag is
+  /// kString: a publish stores it only when the new or the previous tag is
+  /// kString.
   ///@{
   enum class SlotTag : uint8_t { kNull, kBool, kInt, kDouble, kString };
 
-  /// Writer side (requires value_mu_).
-  void PublishSlot(const MetadataValue& v, Timestamp now);
+  /// Writer side.
+  void PublishSlot(const MetadataValue& v, Timestamp now)
+      PIPES_REQUIRES(eval_mu_);
   /// Reader side (lock-free).
   MetadataValue ReadSlot() const;
 
-  mutable Mutex value_mu_{"MetadataHandler::value_mu",
-                          lockorder::kRankHandlerValue};
   std::atomic<uint64_t> value_seq_{0};
   std::atomic<uint8_t> value_tag_{static_cast<uint8_t>(SlotTag::kNull)};
   std::atomic<uint64_t> value_bits_{0};  ///< bit-cast bool/int64/double
@@ -298,36 +299,28 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   std::atomic<MetadataValue::SharedString> value_str_{nullptr};
   ///@}
 
-  mutable Mutex health_mu_{"MetadataHandler::health_mu",
-                           lockorder::kRankHandlerHealth};
-  HandlerHealth health_ PIPES_GUARDED_BY(health_mu_) = HandlerHealth::kHealthy;
-  int consecutive_failures_ PIPES_GUARDED_BY(health_mu_) = 0;
-  int consecutive_successes_ PIPES_GUARDED_BY(health_mu_) = 0;
-  Duration current_backoff_ PIPES_GUARDED_BY(health_mu_) = 0;
+  /// \name Health state (written only under eval_mu_)
+  ///
+  /// `health_` and `consecutive_failures_` are atomics so that health() and
+  /// consecutive_failures() never wait for an evaluation.
+  ///@{
+  std::atomic<HandlerHealth> health_{HandlerHealth::kHealthy};
+  std::atomic<int> consecutive_failures_{0};
+  int consecutive_successes_ PIPES_GUARDED_BY(eval_mu_) = 0;
+  Duration current_backoff_ PIPES_GUARDED_BY(eval_mu_) = 0;
   /// Next allowed eval in quarantine.
-  Timestamp retry_at_ PIPES_GUARDED_BY(health_mu_) = kTimestampNever;
-  std::string last_error_ PIPES_GUARDED_BY(health_mu_);
-  /// True iff health_ == kHealthy and consecutive_failures_ == 0, which
-  /// imply retry_at_ == kTimestampNever and current_backoff_ == 0: the
-  /// state a success leaves unchanged. Written only under health_mu_; read
-  /// without it by the healthy fast path.
-  std::atomic<bool> health_clean_{true};
+  Timestamp retry_at_ PIPES_GUARDED_BY(eval_mu_) = kTimestampNever;
+  std::string last_error_ PIPES_GUARDED_BY(eval_mu_);
   /// Jitter source for quarantine retry delays (RetryPolicy::backoff_jitter).
   /// Seeded from the item identity in the constructor, so runs replay
   /// exactly while distinct handlers still decorrelate.
-  Rng backoff_rng_ PIPES_GUARDED_BY(health_mu_);
+  Rng backoff_rng_ PIPES_GUARDED_BY(eval_mu_);
+  ///@}
 
   std::atomic<bool> retired_{false};
   std::atomic<uint64_t> fault_count_{0};
   std::atomic<uint64_t> skipped_evals_{0};
   std::atomic<uint64_t> recovery_count_{0};
-
-  /// Serializes evaluator invocations; guards no data directly.
-  Mutex eval_mu_{"MetadataHandler::eval_mu", lockorder::kRankHandlerEval};
-
-  mutable Mutex dependents_mu_{"MetadataHandler::dependents_mu",
-                               lockorder::kRankHandlerDependents};
-  std::vector<MetadataHandler*> dependents_ PIPES_GUARDED_BY(dependents_mu_);
 
   /// This origin's current wave plan; null until the first wave. Loaded and
   /// replaced whole by the manager's propagation path, never mutated.
@@ -337,15 +330,18 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   StormState storm_;
 
   // Guarded by the manager's structure lock, which cannot be named in a
-  // PIPES_GUARDED_BY from here without a cyclic include.
+  // PIPES_GUARDED_BY from here without a cyclic include: written under the
+  // exclusive hold (Instantiate, MaybeRemove). The inverted dependency edges
+  // are read under the shared one too (RebuildWavePlan).
+  std::vector<MetadataHandler*> dependents_;  // pipes-analyze: unguarded(MetadataManager structure lock)
   int external_refs_ = 0;  // pipes-analyze: unguarded(MetadataManager structure lock)
   int internal_refs_ = 0;  // pipes-analyze: unguarded(MetadataManager structure lock)
 
   /// Sharded: Get() is the many-reader hot path and must not make all
   /// consumers contend on one counter cache line.
   ShardedCounter access_count_;
-  /// Written under value_mu_ and eval_mu_ respectively, so a relaxed load
-  /// plus store suffices; atomic because their readers take no lock.
+  /// Written under eval_mu_, so a relaxed load plus store suffices; atomic
+  /// because their readers take no lock.
   std::atomic<uint64_t> update_count_{0};
   std::atomic<uint64_t> eval_count_{0};
 };
@@ -356,7 +352,6 @@ class StaticMetadataHandler final : public MetadataHandler {
   using MetadataHandler::MetadataHandler;
 
  private:
-  MetadataValue DoGet() override;
   void Activate(Timestamp now) override;
 };
 
@@ -398,7 +393,6 @@ class PeriodicMetadataHandler final : public MetadataHandler {
  private:
   friend class MetadataManager;
 
-  MetadataValue DoGet() override;
   void Activate(Timestamp now) override;
   void Deactivate() override;
 
@@ -437,7 +431,6 @@ class TriggeredMetadataHandler final : public MetadataHandler {
   using MetadataHandler::MetadataHandler;
 
  private:
-  MetadataValue DoGet() override;
   void Activate(Timestamp now) override;
   void RefreshFromWave(Timestamp now) override;
 };

@@ -505,14 +505,9 @@ void MetadataManager::RunWave(MetadataHandler& origin, Timestamp now) {
 
 std::shared_ptr<const MetadataHandler::WavePlan>
 MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
-  // Iterate a handler's dependents in place (under its dependents lock, a
-  // leaf) instead of via dependents(), whose snapshot copy would allocate
-  // per handler.
-  auto for_each_dependent = [](MetadataHandler& h, auto&& fn) {
-    MutexLock deps_lock(h.dependents_mu_);
-    for (MetadataHandler* d : h.dependents_) fn(d);
-  };
-
+  // The caller's shared structure lock keeps every dependents list still:
+  // only Instantiate and MaybeRemove change them, under the exclusive one.
+  //
   // Collect the affected closure: dependents reachable through triggered and
   // on-demand handlers. Periodic handlers update on their own cadence and
   // static handlers never change, so the wave does not continue past them.
@@ -523,11 +518,11 @@ MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
   auto discover = [&](MetadataHandler* d) {
     if (indegree.emplace(d, 0).second) closure.push_back(d);
   };
-  for_each_dependent(origin, discover);
+  for (MetadataHandler* d : origin.dependents_) discover(d);
   for (size_t i = 0; i < closure.size(); ++i) {
     MetadataHandler* h = closure[i];
     if (!h->PropagatesThrough()) continue;
-    for_each_dependent(*h, discover);
+    for (MetadataHandler* d : h->dependents_) discover(d);
   }
 
   auto plan = std::make_shared<MetadataHandler::WavePlan>();
@@ -555,10 +550,10 @@ MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
     if (h->mechanism() == UpdateMechanism::kTriggered) {
       plan->refresh.push_back(h);
     }
-    for_each_dependent(*h, [&](MetadataHandler* d) {
+    for (MetadataHandler* d : h->dependents_) {
       auto it = indegree.find(d);
       if (it != indegree.end() && --it->second == 0) ready.push_back(d);
-    });
+    }
   }
   assert(ready.size() == closure.size() && "dependency cycle in propagation");
   return plan;
@@ -973,6 +968,7 @@ void MetadataManager::NotifyProviderTeardown(const MetadataProvider& provider) {
 void MetadataManager::InjectRecoveredValue(MetadataHandler& handler,
                                            const MetadataValue& v,
                                            Timestamp ts) {
+  MutexLock lock(handler.eval_mu_);
   handler.StoreValue(v, ts);
 }
 

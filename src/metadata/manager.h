@@ -504,7 +504,8 @@ class MetadataManager {
   void ApplyPressureFactorLocked(double factor) PIPES_REQUIRES(pressure_mu_);
 
   /// Recovery-time value injection: publishes `v` with update time `ts` as
-  /// `handler`'s last-known-good value without invoking its evaluator.
+  /// `handler`'s last-known-good value without invoking its evaluator. Takes
+  /// the handler's eval_mu, like every other writer of the handler.
   void InjectRecoveredValue(MetadataHandler& handler, const MetadataValue& v,
                             Timestamp ts);
 

@@ -464,8 +464,8 @@ void MetadataDurability::OnRetire(const MetadataProvider& provider,
 void MetadataDurability::OnValue(const MetadataProvider& provider,
                                  const MetadataKey& key,
                                  const MetadataValue& value, Timestamp now) {
-  // Journal-only: called under the handler's value_mu (rank 560); only
-  // journal_mu_ (580) may nest inside it. Timestamps persist as wall-clock
+  // Journal-only: called under the handler's eval_mu (rank 500); takes only
+  // journal_mu_ (580) inside it. Timestamps persist as wall-clock
   // micros so staleness survives a restart with a different clock origin.
   RecordEncoder body;
   body.PutString(provider.label());

@@ -31,21 +31,6 @@ class CounterProbe {
   /// Total events counted since the probe was first enabled.
   uint64_t Value() const { return count_.load(std::memory_order_relaxed); }
 
-  /// Returns the number of events since the previous TakeDelta() call and
-  /// advances the marker. Each caller should own the probe exclusively
-  /// (PIPES shares one *handler* per item, so there is one taker per probe).
-  uint64_t TakeDelta() {
-    uint64_t current = count_.load(std::memory_order_relaxed);
-    uint64_t previous = last_taken_.exchange(current, std::memory_order_relaxed);
-    return current - previous;
-  }
-
-  /// Number of events since the previous TakeDelta() without advancing.
-  uint64_t PeekDelta() const {
-    return count_.load(std::memory_order_relaxed) -
-           last_taken_.load(std::memory_order_relaxed);
-  }
-
   /// Reference-counted activation: multiple metadata items may share the
   /// probe (paper: monitoring is "activated by the addMetadata method").
   void Enable() { enabled_.fetch_add(1, std::memory_order_relaxed); }
@@ -54,7 +39,6 @@ class CounterProbe {
 
  private:
   std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> last_taken_{0};
   std::atomic<int32_t> enabled_{0};
 };
 
@@ -97,20 +81,12 @@ class GaugeProbe {
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
   double Value() const { return value_.load(std::memory_order_relaxed); }
 
-  /// Value accumulated since the last TakeDelta().
-  double TakeDelta() {
-    double current = value_.load(std::memory_order_relaxed);
-    double previous = last_taken_.exchange(current, std::memory_order_relaxed);
-    return current - previous;
-  }
-
   void Enable() { enabled_.fetch_add(1, std::memory_order_relaxed); }
   void Disable() { enabled_.fetch_sub(1, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed) > 0; }
 
  private:
   std::atomic<double> value_{0.0};
-  std::atomic<double> last_taken_{0.0};
   std::atomic<int32_t> enabled_{0};
 };
 

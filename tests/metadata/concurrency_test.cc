@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -338,6 +339,85 @@ TEST(MetadataConcurrencyTest, NestedWaveWithStalePlanIsNeverShed) {
   EXPECT_EQ(st.waves_deferred, 0u);
   EXPECT_EQ(st.waves, 2u);
   EXPECT_EQ(st.wave_plan_rebuilds, 2u);
+}
+
+TEST(MetadataConcurrencyTest, RacingOnDemandReadsCountEachIntervalOnce) {
+  // elapsed() of an on-demand read spans back to the previous publish. A
+  // read that waits for a racing one's evaluation must read the time only
+  // once it may evaluate, so it sees that publish and a rate evaluator never
+  // counts one interval twice.
+  MetaFixture fx;
+  SimpleProvider p("p");
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::vector<Duration> spans;  // appended under the evaluation lock
+  ASSERT_TRUE(p.metadata_registry()
+                  .Define(MetadataDescriptor::OnDemand("rate").WithEvaluator(
+                      [&](EvalContext& ctx) {
+                        if (!entered.exchange(true)) {
+                          while (!release.load()) std::this_thread::yield();
+                        }
+                        spans.push_back(ctx.elapsed());
+                        return MetadataValue(1.0);
+                      }))
+                  .ok());
+  auto sub = fx.manager.Subscribe(p, "rate");
+  ASSERT_TRUE(sub.ok());
+
+  fx.RunFor(Seconds(1));
+  std::thread first([&] { sub->Get(); });
+  while (!entered.load()) std::this_thread::yield();
+  std::thread second([&] { sub->Get(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release.store(true);
+  first.join();
+  second.join();
+
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0], Seconds(1));
+  EXPECT_EQ(spans[1], 0) << "the waiting read counted the first read's span";
+}
+
+TEST(MetadataConcurrencyTest, SameOriginWavesConvergeToTheLastInput) {
+  // Waves of one origin fired from several threads refresh the same
+  // handlers concurrently. A refresh publishes before the next refresh of
+  // that handler evaluates, so once every event is handled the chain holds
+  // the last input: an older evaluation never overwrites a newer one.
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  std::atomic<int64_t> input{0};
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("s").WithEvaluator(
+                  [&](EvalContext&) { return MetadataValue(input.load()); }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("t1")
+                             .DependsOnSelf("s")
+                             .WithEvaluator([](EvalContext& ctx) {
+                               return ctx.Dep(0);
+                             }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("t2")
+                             .DependsOnSelf("t1")
+                             .WithEvaluator([](EvalContext& ctx) {
+                               return ctx.Dep(0);
+                             }))
+                  .ok());
+  auto sub = fx.manager.Subscribe(p, "t2");
+  ASSERT_TRUE(sub.ok());
+
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 4; ++i) {
+      threads.emplace_back([&] {
+        for (int j = 0; j < 50; ++j) {
+          input.fetch_add(1);
+          fx.manager.FireEvent(p, "s");
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    ASSERT_EQ(sub->Get().AsInt(), input.load()) << "round " << round;
+  }
 }
 
 TEST(MetadataConcurrencyTest, SeqlockReadersSeeNoTornNumericValues) {

@@ -163,8 +163,10 @@ TEST(FaultToleranceTest, SuccessResetsAFailureRunWhileHealthy) {
 
 TEST(FaultToleranceTest, FaultContainedUnderProviderStateLock) {
   // An operator may read its own on-demand metadata while holding its state
-  // lock. A faulting evaluation then records its failure and gates the next
-  // evaluation under that lock: the state_mu -> health_mu nesting.
+  // lock. A faulting evaluation under that lock is contained: it quarantines
+  // the handler and serves the fallback, and the next read inside the
+  // backoff skips the evaluator. The health state machine runs under the
+  // handler's eval_mu, so this checks the state_mu -> eval_mu nesting.
   MetaFixture fx;
   SimpleProvider p("op");
   auto armed = std::make_shared<bool>(true);
