@@ -46,13 +46,12 @@ void Run() {
                       "cv notifies", "notifies skipped"});
   for (int handlers : {10, 100, 1000}) {
     for (size_t workers : {size_t(1), size_t(2), size_t(4), size_t(8)}) {
-      ThreadPoolScheduler scheduler(workers);
       // Deadline accounting on: a tick more than half a window late counts
       // as a miss, and a miss-dominated EWMA flips the overload signal the
       // degradation governor consumes.
       SchedulerOverloadPolicy overload;
       overload.deadline_slack = Millis(5);
-      scheduler.SetOverloadPolicy(overload);
+      ThreadPoolScheduler scheduler(workers, /*clock=*/nullptr, overload);
       MetadataManager manager(scheduler);
       std::vector<std::unique_ptr<ProviderOnly>> providers;
       std::vector<MetadataSubscription> subs;

@@ -241,11 +241,10 @@ SaturationResult RunSaturation(double factor) {
   constexpr int kBatches = 80;  // 400 ms offered-load phase
   constexpr size_t kMaxPending = 256;
 
-  ThreadPoolScheduler scheduler(kWorkers);
   SchedulerOverloadPolicy policy;
   policy.max_pending = kMaxPending;
   policy.deadline_slack = 10 * kMicrosPerMilli;
-  scheduler.SetOverloadPolicy(policy);
+  ThreadPoolScheduler scheduler(kWorkers, /*clock=*/nullptr, policy);
 
   std::atomic<uint64_t> executed{0};
   auto task = [&executed] {

@@ -114,10 +114,9 @@ inline constexpr int kRankNetEndpoint = 610;
 inline constexpr int kRankDurabilityJournal = 580;
 inline constexpr int kRankModules = 650;           ///< MetadataProvider::modules_mu
 inline constexpr int kRankScheduler = 700;         ///< scheduler queue locks
-/// TaskScheduler::overload_mu_ — admission/deadline accounting; taken while
-/// a Schedule* call holds the implementation's queue lock.
+/// TaskScheduler::overload_mu_ — the deadline-miss rate average; taken by
+/// the run path while deadline tracking is on, holding no other lock.
 inline constexpr int kRankSchedulerOverload = 710;
-inline constexpr int kRankWatchdog = 720;          ///< TaskScheduler::watchdog_mu
 inline constexpr int kRankLeaf = 900;              ///< queues, sinks, observers
 
 /// One named lock class (interned; all locks constructed with the same name

@@ -18,132 +18,151 @@ Timestamp SteadyMicrosNow() {
       .count();
 }
 
+void RaiseMax(std::atomic<Duration>& max, Duration v) {
+  Duration cur = max.load(std::memory_order_relaxed);
+  while (v > cur &&
+         !max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// TaskScheduler watchdog
+// TaskScheduler core: timer queue, admission, run path
 // ---------------------------------------------------------------------------
 
-void TaskScheduler::SetWatchdog(double overrun_factor, OverrunCallback cb) {
-  MutexLock lock(watchdog_mu_);
-  overrun_factor_ = overrun_factor;
-  overrun_cb_ = std::move(cb);
+bool TaskScheduler::TimerQueue::Later(const Entry& a, const Entry& b) {
+  if (a.when != b.when) return a.when > b.when;
+  return a.seq > b.seq;
 }
 
-double TaskScheduler::watchdog_overrun_factor() const {
-  MutexLock lock(watchdog_mu_);
-  return overrun_factor_ > 0 ? overrun_factor_ : 0.0;
+void TaskScheduler::TimerQueue::Push(Entry e) {
+  e.seq = next_seq_++;
+  heap_.push_back(std::move(e));
+  std::push_heap(heap_.begin(), heap_.end(), Later);
 }
 
-bool TaskScheduler::IsOverrun(Duration period, Duration runtime) const {
-  if (period <= 0) return false;
-  MutexLock lock(watchdog_mu_);
-  if (overrun_factor_ <= 0) return false;
-  return static_cast<double>(runtime) >
-         overrun_factor_ * static_cast<double>(period);
-}
-
-void TaskScheduler::NotifyOverrun(Timestamp scheduled_at, Duration period,
-                                  Duration runtime) {
-  OverrunCallback cb;
-  {
-    MutexLock lock(watchdog_mu_);
-    cb = overrun_cb_;
-  }
-  if (cb) cb(OverrunReport{scheduled_at, period, runtime});
-}
-
-// ---------------------------------------------------------------------------
-// TaskScheduler overload accounting
-// ---------------------------------------------------------------------------
-
-void TaskScheduler::SetOverloadPolicy(const SchedulerOverloadPolicy& policy) {
-  MutexLock lock(overload_mu_);
-  overload_policy_ = policy;
-  if (policy.deadline_slack <= 0) {
-    miss_rate_ewma_ = 0.0;
-    overloaded_.store(false, std::memory_order_release);
-  }
-}
-
-SchedulerOverloadPolicy TaskScheduler::overload_policy() const {
-  MutexLock lock(overload_mu_);
-  return overload_policy_;
-}
-
-bool TaskScheduler::AdmitOneShot(size_t pending) {
-  MutexLock lock(overload_mu_);
-  if (overload_policy_.max_pending == 0 ||
-      pending < overload_policy_.max_pending) {
+bool TaskScheduler::TimerQueue::PopDue(Timestamp due_by, Entry* out) {
+  while (!heap_.empty()) {
+    const Entry& top = heap_.front();
+    bool cancelled = top.state->cancelled.load(std::memory_order_acquire);
+    if (!cancelled && top.when > due_by) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    Entry e = std::move(heap_.back());
+    heap_.pop_back();
+    if (cancelled) {
+      // Lazy-cancel reclamation. Cancel() may have set the flag but not yet
+      // settled; whichever of the two settles first takes the slot off.
+      e.state->Settle();
+      continue;
+    }
+    *out = std::move(e);
     return true;
   }
-  ++tasks_rejected_;
   return false;
 }
 
-void TaskScheduler::RecordExecutionLateness(Duration lateness) {
+TaskScheduler::TaskScheduler(SchedulerOverloadPolicy policy)
+    : policy_(std::move(policy)),
+      pending_(std::make_shared<std::atomic<size_t>>(0)) {}
+
+TaskHandle TaskScheduler::SchedulePeriodic(Duration period, Task fn,
+                                           Timestamp first_at) {
+  assert(period > 0 && "periodic task requires a positive period");
+  Timestamp first =
+      first_at == kTimestampNever ? clock().Now() + period : first_at;
+  return Schedule(first, period, std::move(fn));
+}
+
+TaskHandle TaskScheduler::Schedule(Timestamp when, Duration period, Task fn) {
+  // Reserve the gauge slot before the bound check so concurrent producers
+  // cannot both see room for the last slot.
+  size_t pending = pending_->fetch_add(1, std::memory_order_acq_rel);
+  if (period == 0 && policy_.max_pending != 0 &&
+      pending >= policy_.max_pending) {
+    pending_->fetch_sub(1, std::memory_order_acq_rel);
+    tasks_rejected_.fetch_add(1, std::memory_order_relaxed);
+    return TaskHandle();
+  }
+  auto state = std::make_shared<TaskHandle::State>();
+  state->pending_gauge = pending_;
+  Enqueue(Entry{when, /*seq=*/0, std::make_shared<Task>(std::move(fn)), state,
+                period});
+  return TaskHandle(std::move(state));
+}
+
+bool TaskScheduler::RunEntry(const Entry& e, Timestamp now) {
+  // A one-shot leaves the pending gauge when it runs, unless Cancel() took
+  // it off first; a periodic stays on it until cancelled.
+  if (e.period == 0 && !e.state->Settle()) return false;
+  if (e.state->cancelled.load(std::memory_order_acquire)) return false;
+  Duration lateness = now - e.when;
+  tasks_run_.Increment();
+  total_lateness_.Add(static_cast<uint64_t>(lateness));
+  RaiseMax(max_lateness_, lateness);
+  if (policy_.deadline_slack > 0) RecordLateness(lateness);
+
+  Timestamp started = SteadyMicrosNow();
+  (*e.fn)();
+  Duration runtime = SteadyMicrosNow() - started;
+  RaiseMax(max_task_runtime_, runtime);
+  if (e.period > 0 && policy_.overrun_factor > 0 &&
+      static_cast<double>(runtime) >
+          policy_.overrun_factor * static_cast<double>(e.period)) {
+    overruns_.fetch_add(1, std::memory_order_relaxed);
+    if (policy_.on_overrun) {
+      policy_.on_overrun(OverrunReport{e.when, e.period, runtime});
+    }
+  }
+  return !e.state->cancelled.load(std::memory_order_acquire);
+}
+
+void TaskScheduler::RecordLateness(Duration lateness) {
+  constexpr double kAlpha = SchedulerOverloadPolicy::kMissRateAlpha;
+  bool miss = lateness > policy_.deadline_slack;
+  if (miss) deadline_misses_.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(overload_mu_);
-  if (overload_policy_.deadline_slack <= 0) return;
-  bool miss = lateness > overload_policy_.deadline_slack;
-  if (miss) ++deadline_misses_;
-  double alpha = overload_policy_.ewma_alpha;
-  miss_rate_ewma_ = alpha * (miss ? 1.0 : 0.0) + (1.0 - alpha) * miss_rate_ewma_;
+  double ewma = kAlpha * (miss ? 1.0 : 0.0) +
+                (1.0 - kAlpha) * miss_rate_ewma_.load(std::memory_order_relaxed);
+  miss_rate_ewma_.store(ewma, std::memory_order_relaxed);
   // Hysteresis: enter above the high mark, leave only below the low mark, so
   // a miss rate oscillating around one threshold cannot flap the signal.
-  if (overloaded_.load(std::memory_order_relaxed)) {
-    if (miss_rate_ewma_ <= overload_policy_.exit_overload) {
-      overloaded_.store(false, std::memory_order_release);
-    }
-  } else if (miss_rate_ewma_ >= overload_policy_.enter_overload) {
-    overloaded_.store(true, std::memory_order_release);
+  bool overloaded = overloaded_.load(std::memory_order_relaxed);
+  if (overloaded ? ewma <= SchedulerOverloadPolicy::kExitOverload
+                 : ewma >= SchedulerOverloadPolicy::kEnterOverload) {
+    overloaded_.store(!overloaded, std::memory_order_release);
   }
 }
 
-void TaskScheduler::FillOverloadStats(SchedulerStats* stats) const {
-  MutexLock lock(overload_mu_);
-  stats->deadline_misses = deadline_misses_;
-  stats->tasks_rejected = tasks_rejected_;
-  stats->miss_rate_ewma = miss_rate_ewma_;
-  stats->overloaded = overloaded_.load(std::memory_order_relaxed);
+SchedulerStats TaskScheduler::stats() const {
+  SchedulerStats s;
+  s.tasks_run = tasks_run_.Value();
+  s.total_lateness = static_cast<Duration>(total_lateness_.Value());
+  s.max_lateness = max_lateness_.load(std::memory_order_relaxed);
+  s.overruns = overruns_.load(std::memory_order_relaxed);
+  s.max_task_runtime = max_task_runtime_.load(std::memory_order_relaxed);
+  s.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
+  s.tasks_rejected = tasks_rejected_.load(std::memory_order_relaxed);
+  s.miss_rate_ewma = miss_rate_ewma_.load(std::memory_order_relaxed);
+  s.overloaded = overloaded_.load(std::memory_order_relaxed);
+  s.queue_depth = pending_->load(std::memory_order_relaxed);
+  return s;
 }
 
 // ---------------------------------------------------------------------------
 // VirtualTimeScheduler
 // ---------------------------------------------------------------------------
 
-VirtualTimeScheduler::VirtualTimeScheduler(VirtualClock* clock)
-    : clock_(clock ? clock : &owned_clock_) {}
+VirtualTimeScheduler::VirtualTimeScheduler(VirtualClock* clock,
+                                           SchedulerOverloadPolicy policy)
+    : TaskScheduler(std::move(policy)),
+      clock_(clock ? clock : &owned_clock_) {}
 
-TaskHandle VirtualTimeScheduler::ScheduleAt(Timestamp when, Task fn) {
-  auto state = std::make_shared<TaskHandle::State>();
+void VirtualTimeScheduler::Enqueue(Entry e) {
   MutexLock lock(mu_);
-  if (!AdmitOneShot(queue_.size())) return TaskHandle();
-  // Tasks scheduled in the past run at the current time.
-  when = std::max(when, clock_->Now());
-  queue_.push(Entry{when, next_seq_++, std::move(fn), state, /*period=*/0});
-  return TaskHandle(state);
-}
-
-TaskHandle VirtualTimeScheduler::SchedulePeriodic(Duration period, Task fn,
-                                                  Timestamp first_at) {
-  assert(period > 0 && "periodic task requires a positive period");
-  auto state = std::make_shared<TaskHandle::State>();
-  MutexLock lock(mu_);
-  Timestamp first =
-      first_at == kTimestampNever ? clock_->Now() + period : first_at;
-  queue_.push(Entry{first, next_seq_++, std::move(fn), state, period});
-  return TaskHandle(state);
-}
-
-SchedulerStats VirtualTimeScheduler::stats() const {
-  SchedulerStats s;
-  {
-    MutexLock lock(mu_);
-    s = stats_;
-    s.queue_depth = queue_.size();
-  }
-  FillOverloadStats(&s);
-  return s;
+  // One-shots scheduled in the past run at the current time.
+  if (e.period == 0) e.when = std::max(e.when, clock_->Now());
+  queue_.Push(std::move(e));
 }
 
 size_t VirtualTimeScheduler::pending_count() const {
@@ -153,65 +172,40 @@ size_t VirtualTimeScheduler::pending_count() const {
 
 Timestamp VirtualTimeScheduler::next_deadline() const {
   MutexLock lock(mu_);
-  return queue_.empty() ? kTimestampMax : queue_.top().when;
+  return queue_.next_due();
 }
 
-bool VirtualTimeScheduler::PopDue(Timestamp t, Entry* out) {
-  MutexLock lock(mu_);
-  while (!queue_.empty()) {
-    const Entry& top = queue_.top();
-    if (top.when > t) return false;
-    Entry e = top;
-    queue_.pop();
-    if (e.state->cancelled.load(std::memory_order_acquire)) continue;
-    *out = std::move(e);
-    return true;
-  }
-  return false;
-}
-
-void VirtualTimeScheduler::RunEntry(Entry& e) {
-  clock_->Set(e.when);
-  Timestamp started = SteadyMicrosNow();
-  e.fn();
-  Duration runtime = SteadyMicrosNow() - started;
-  bool overrun = IsOverrun(e.period, runtime);
+bool VirtualTimeScheduler::RunNextDue(Timestamp due_by) {
+  Entry e;
   {
     MutexLock lock(mu_);
-    ++stats_.tasks_run;
-    stats_.max_task_runtime = std::max(stats_.max_task_runtime, runtime);
-    if (overrun) ++stats_.overruns;
-    if (e.period > 0 && !e.state->cancelled.load(std::memory_order_acquire)) {
-      queue_.push(Entry{e.when + e.period, next_seq_++, std::move(e.fn),
-                        e.state, e.period});
-    }
+    if (!queue_.PopDue(due_by, &e)) return false;
   }
-  if (overrun) NotifyOverrun(e.when, e.period, runtime);
+  clock_->Set(e.when);
+  // Re-armed after the run, so what the task schedules for the next tick's
+  // instant sorts before the tick: the tie order simulations replay.
+  if (RunEntry(e, clock_->Now()) && e.period > 0) {
+    e.when += e.period;
+    MutexLock lock(mu_);
+    queue_.Push(std::move(e));
+  }
+  return true;
 }
 
 uint64_t VirtualTimeScheduler::RunUntil(Timestamp t) {
   uint64_t run = 0;
-  Entry e;
-  while (PopDue(t, &e)) {
-    RunEntry(e);
-    ++run;
-  }
+  while (RunNextDue(t)) ++run;
   clock_->Set(t);
   return run;
-}
-
-bool VirtualTimeScheduler::RunNext() {
-  Entry e;
-  if (!PopDue(kTimestampMax, &e)) return false;
-  RunEntry(e);
-  return true;
 }
 
 // ---------------------------------------------------------------------------
 // ThreadPoolScheduler
 // ---------------------------------------------------------------------------
 
-ThreadPoolScheduler::ThreadPoolScheduler(size_t num_threads, Clock* clock) {
+ThreadPoolScheduler::ThreadPoolScheduler(size_t num_threads, Clock* clock,
+                                         SchedulerOverloadPolicy policy)
+    : TaskScheduler(std::move(policy)) {
   if (clock == nullptr) {
     owned_clock_ = std::make_unique<SystemClock>();
     clock_ = owned_clock_.get();
@@ -219,7 +213,6 @@ ThreadPoolScheduler::ThreadPoolScheduler(size_t num_threads, Clock* clock) {
     clock_ = clock;
   }
   if (num_threads == 0) num_threads = 1;
-  pending_oneshots_ = std::make_shared<std::atomic<size_t>>(0);
   shards_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -245,23 +238,6 @@ void ThreadPoolScheduler::Shutdown() {
   }
 }
 
-bool ThreadPoolScheduler::NoteScheduled(Shard& shard, bool was_empty,
-                                        Timestamp prev_top_when,
-                                        Timestamp when) {
-  // A wakeup is useful when the new task preempts the deadline the shard's
-  // owner sleeps towards, when its queue held nothing to wait for before, or
-  // when the owner sits in the indefinite idle wait. Otherwise the owner
-  // wakes on time by itself and notify_one would be a spurious wakeup
-  // (often a futex syscall).
-  bool notify = was_empty || when < prev_top_when || shard.idle;
-  if (notify) {
-    ++shard.stats.cv_notifies;
-  } else {
-    ++shard.stats.cv_notifies_skipped;
-  }
-  return notify;
-}
-
 void ThreadPoolScheduler::WakeIdleWorkerForSteal(size_t except) {
   for (size_t j = 0; j < shards_.size(); ++j) {
     if (j == except) continue;
@@ -275,31 +251,26 @@ void ThreadPoolScheduler::WakeIdleWorkerForSteal(size_t except) {
   }
 }
 
-TaskHandle ThreadPoolScheduler::ScheduleAt(Timestamp when, Task fn) {
-  auto state = std::make_shared<TaskHandle::State>();
-  // Reserve the gauge slot before the admission check so concurrent
-  // producers cannot both see room for the last slot.
-  size_t prev_pending =
-      pending_oneshots_->fetch_add(1, std::memory_order_acq_rel);
-  if (!AdmitOneShot(prev_pending +
-                    periodic_entries_.load(std::memory_order_relaxed))) {
-    pending_oneshots_->fetch_sub(1, std::memory_order_acq_rel);
-    return TaskHandle();
-  }
-  state->pending_gauge = pending_oneshots_;
-
+void ThreadPoolScheduler::Enqueue(Entry e) {
   size_t target =
       push_cursor_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   Shard& shard = *shards_[target];
-  bool notify;
+  Timestamp when = e.when;
+  bool notify = false;
   {
     MutexLock lock(shard.mu);
-    bool was_empty = shard.queue.empty();
-    Timestamp prev_top = was_empty ? kTimestampMax : shard.queue.top().when;
-    shard.queue.push(Entry{when, shard.next_seq++,
-                           std::make_shared<Task>(std::move(fn)), state,
-                           /*period=*/0});
-    notify = NoteScheduled(shard, was_empty, prev_top, when);
+    // A wakeup is useful when the new task preempts the deadline the shard's
+    // owner sleeps towards (none when its queue is empty), or when the owner
+    // sits in the indefinite idle wait. Otherwise the owner wakes on time by
+    // itself and notify_one would be a spurious wakeup (often a futex
+    // syscall).
+    notify = when < shard.queue.next_due() || shard.idle;
+    if (notify) {
+      ++shard.cv_notifies;
+    } else {
+      ++shard.cv_notifies_skipped;
+    }
+    shard.queue.Push(std::move(e));
   }
   if (notify) shard.cv.notify_one();
   // A task due right now on a shard whose owner is mid-task would wait for
@@ -307,132 +278,43 @@ TaskHandle ThreadPoolScheduler::ScheduleAt(Timestamp when, Task fn) {
   if (shards_.size() > 1 && when <= clock_->Now()) {
     WakeIdleWorkerForSteal(target);
   }
-  return TaskHandle(state);
-}
-
-TaskHandle ThreadPoolScheduler::SchedulePeriodic(Duration period, Task fn,
-                                                 Timestamp first_at) {
-  assert(period > 0 && "periodic task requires a positive period");
-  auto state = std::make_shared<TaskHandle::State>();
-  periodic_entries_.fetch_add(1, std::memory_order_relaxed);
-  size_t target =
-      push_cursor_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  Shard& shard = *shards_[target];
-  bool notify;
-  Timestamp first;
-  {
-    MutexLock lock(shard.mu);
-    first = first_at == kTimestampNever ? clock_->Now() + period : first_at;
-    bool was_empty = shard.queue.empty();
-    Timestamp prev_top = was_empty ? kTimestampMax : shard.queue.top().when;
-    shard.queue.push(Entry{first, shard.next_seq++,
-                           std::make_shared<Task>(std::move(fn)), state,
-                           period});
-    notify = NoteScheduled(shard, was_empty, prev_top, first);
-  }
-  if (notify) shard.cv.notify_one();
-  if (shards_.size() > 1 && first <= clock_->Now()) {
-    WakeIdleWorkerForSteal(target);
-  }
-  return TaskHandle(state);
 }
 
 SchedulerStats ThreadPoolScheduler::stats() const {
-  SchedulerStats s;
+  SchedulerStats s = TaskScheduler::stats();
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
-    const SchedulerStats& ss = shard->stats;
-    s.tasks_run += ss.tasks_run;
-    s.total_lateness += ss.total_lateness;
-    s.max_lateness = std::max(s.max_lateness, ss.max_lateness);
-    s.overruns += ss.overruns;
-    s.max_task_runtime = std::max(s.max_task_runtime, ss.max_task_runtime);
-    s.cv_notifies += ss.cv_notifies;
-    s.cv_notifies_skipped += ss.cv_notifies_skipped;
+    s.cv_notifies += shard->cv_notifies;
+    s.cv_notifies_skipped += shard->cv_notifies_skipped;
   }
   s.tasks_stolen = tasks_stolen_.load(std::memory_order_relaxed);
-  // Lazy-cancel aware: cancelled one-shots left the gauge at Cancel() even
-  // though their queue entries await reclamation.
-  s.queue_depth = pending_oneshots_->load(std::memory_order_relaxed) +
-                  periodic_entries_.load(std::memory_order_relaxed);
-  FillOverloadStats(&s);
-  size_t workers = threads_.size();
-  if (workers > 0) {
-    s.utilization =
-        double(busy_workers_.load(std::memory_order_relaxed)) / double(workers);
-  }
+  s.utilization = double(busy_workers_.load(std::memory_order_relaxed)) /
+                  double(threads_.size());
   return s;
 }
 
-bool ThreadPoolScheduler::SettleOneShot(const Entry& e) {
-  if (e.period > 0) return true;  // periodics are settled by the gauge inc/dec
-  if (e.state->accounted.exchange(true, std::memory_order_acq_rel)) {
-    // Cancel() won the race and already decremented the gauge.
-    return false;
+bool ThreadPoolScheduler::PopDue(Shard& shard, Timestamp now, Entry* out) {
+  if (!shard.queue.PopDue(now, out)) return false;
+  if (out->period > 0) {
+    // Fixed cadence, re-armed at pop into the same shard (owner-local:
+    // periodics keep their home queue even when this execution is stolen);
+    // skip whole periods if we fell badly behind so the queue cannot grow
+    // without bound.
+    Entry next = *out;
+    next.when += next.period;
+    if (next.when <= now) {
+      int64_t behind = (now - out->when) / out->period;
+      next.when = out->when + (behind + 1) * out->period;
+    }
+    shard.queue.Push(std::move(next));
   }
-  pending_oneshots_->fetch_sub(1, std::memory_order_acq_rel);
   return true;
 }
 
-bool ThreadPoolScheduler::PopDueEntry(Shard& shard, Timestamp now,
-                                      Entry* out) {
-  while (!shard.queue.empty()) {
-    const Entry& top = shard.queue.top();
-    if (top.state->cancelled.load(std::memory_order_acquire)) {
-      // Lazy-cancel reclamation. One-shots already left the pending gauge in
-      // Cancel() (unless the cancel raced in after the admission settle);
-      // periodics leave it here, where their entry dies.
-      Entry dead = top;
-      shard.queue.pop();
-      SettleOneShot(dead);
-      if (dead.period > 0) {
-        periodic_entries_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      continue;
-    }
-    if (top.when > now) return false;
-    *out = top;
-    shard.queue.pop();
-    Duration lateness = now - out->when;
-    ++shard.stats.tasks_run;
-    shard.stats.total_lateness += lateness;
-    shard.stats.max_lateness = std::max(shard.stats.max_lateness, lateness);
-    if (out->period > 0) {
-      // Fixed cadence, re-armed into the same shard (owner-local: periodics
-      // keep their home queue even when this execution is stolen); skip
-      // whole periods if we fell badly behind so the queue cannot grow
-      // without bound.
-      Timestamp next = out->when + out->period;
-      if (next <= now) {
-        int64_t behind = (now - out->when) / out->period;
-        next = out->when + (behind + 1) * out->period;
-      }
-      shard.queue.push(
-          Entry{next, shard.next_seq++, out->fn, out->state, out->period});
-    }
-    return true;
-  }
-  return false;
-}
-
-void ThreadPoolScheduler::ExecuteEntry(Entry e, Timestamp now, Shard& home) {
-  Duration lateness = now - e.when;
-  if (!SettleOneShot(e)) return;  // cancelled after the due check: drop
-  if (e.state->cancelled.load(std::memory_order_acquire)) return;
-  RecordExecutionLateness(lateness);
+void ThreadPoolScheduler::Execute(const Entry& e, Timestamp now) {
   busy_workers_.fetch_add(1, std::memory_order_relaxed);
-  Timestamp started = SteadyMicrosNow();
-  (*e.fn)();
-  Duration runtime = SteadyMicrosNow() - started;
+  RunEntry(e, now);
   busy_workers_.fetch_sub(1, std::memory_order_relaxed);
-  bool overrun = IsOverrun(e.period, runtime);
-  // Report before taking any shard lock: a wedged worker's overrun must
-  // surface even while other workers keep the queues busy.
-  if (overrun) NotifyOverrun(e.when, e.period, runtime);
-  MutexLock lock(home.mu);
-  home.stats.max_task_runtime =
-      std::max(home.stats.max_task_runtime, runtime);
-  if (overrun) ++home.stats.overruns;
 }
 
 void ThreadPoolScheduler::WorkerLoop(size_t self) {
@@ -443,14 +325,13 @@ void ThreadPoolScheduler::WorkerLoop(size_t self) {
 
     Timestamp now = clock_->Now();
     Entry e;
-    if (PopDueEntry(own, now, &e)) {
+    if (PopDue(own, now, &e)) {
       lock.unlock();
-      ExecuteEntry(std::move(e), now, own);
+      Execute(e, now);
       lock.lock();
       continue;
     }
-    Timestamp own_deadline =
-        own.queue.empty() ? kTimestampMax : own.queue.top().when;
+    Timestamp own_deadline = own.queue.next_due();
 
     // Nothing due here: scan the sibling shards for due work (stealing) and
     // for the earliest foreign deadline, which bounds our sleep so a sibling
@@ -467,16 +348,14 @@ void ThreadPoolScheduler::WorkerLoop(size_t self) {
         contended = true;
         continue;
       }
-      if (PopDueEntry(other, now, &e)) {
+      if (PopDue(other, now, &e)) {
         other.mu.unlock();
         tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
-        ExecuteEntry(std::move(e), now, own);
+        Execute(e, now);
         stole = true;
         break;
       }
-      if (!other.queue.empty()) {
-        min_foreign = std::min(min_foreign, other.queue.top().when);
-      }
+      min_foreign = std::min(min_foreign, other.queue.next_due());
       other.mu.unlock();
     }
     // A contended sibling may be hiding due work; re-scan after a bounded
@@ -487,7 +366,7 @@ void ThreadPoolScheduler::WorkerLoop(size_t self) {
     if (stopping_.load(std::memory_order_acquire)) return;
 
     // Our queue may have gained work while unlocked; the loop re-checks.
-    if (!own.queue.empty() && own.queue.top().when != own_deadline) continue;
+    if (!own.queue.empty() && own.queue.next_due() != own_deadline) continue;
 
     Timestamp wake_at = std::min(own_deadline, min_foreign);
     if (wake_at == kTimestampMax) {

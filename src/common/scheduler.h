@@ -1,9 +1,12 @@
 /// \file scheduler.h
-/// \brief Task scheduling: deterministic virtual-time and worker-thread-pool
-/// implementations.
+/// \brief Task scheduling: one scheduler core with deterministic
+/// virtual-time and worker-thread-pool implementations.
 ///
 /// Periodic metadata updates (paper §3.2.2, §4.3) run on a `TaskScheduler`.
-/// Two implementations are provided:
+/// The base class is the core both implementations share: the timer queue,
+/// admission against the queue bound, and the run path with its deadline
+/// and watchdog accounting. The implementations add only how due tasks are
+/// found and run:
 ///  - `VirtualTimeScheduler` executes tasks in strict timestamp order while
 ///    advancing a `VirtualClock`; this is fully deterministic and is what the
 ///    figure-reproduction harnesses and most tests use.
@@ -18,12 +21,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/mutex.h"
+#include "common/sharded_counter.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
 
@@ -42,15 +45,11 @@ class TaskHandle {
   void Cancel() {
     if (!state_) return;
     state_->cancelled.store(true, std::memory_order_release);
-    // Lazy-cancel accounting: the queue entry itself is reclaimed only when
-    // it surfaces at a queue top, but the pending gauge (queue_depth and
-    // max_pending admission) must stop counting it *now* — a cancelled
-    // one-shot lingering until its due time would starve admissions.
-    // Exactly-once against the racing popper via `accounted`.
-    if (state_->pending_gauge &&
-        !state_->accounted.exchange(true, std::memory_order_acq_rel)) {
-      state_->pending_gauge->fetch_sub(1, std::memory_order_acq_rel);
-    }
+    // Lazy cancel: the queue entry itself is reclaimed only when it surfaces
+    // at a queue top, but the pending gauge (queue_depth and max_pending
+    // admission) stops counting the task now — a cancelled one-shot
+    // lingering until its due time would starve admissions.
+    state_->Settle();
   }
 
   /// True if this handle refers to a task that has not been cancelled.
@@ -62,18 +61,24 @@ class TaskHandle {
   bool valid() const { return state_ != nullptr; }
 
  private:
-  friend class VirtualTimeScheduler;
-  friend class ThreadPoolScheduler;
+  friend class TaskScheduler;
   struct State {
     std::atomic<bool> cancelled{false};
-    /// The scheduler's pending-one-shot gauge this entry counts toward
-    /// (ThreadPoolScheduler only; null elsewhere). A shared_ptr so a handle
-    /// outliving its scheduler cancels against a still-live counter. Set
-    /// before the handle is published, const afterwards.
-    std::shared_ptr<std::atomic<size_t>> pending_gauge;
-    /// True once the gauge has been decremented — by Cancel() or by the
-    /// popping worker, whoever wins the exchange.
+    /// True once the task has left the pending gauge.
     std::atomic<bool> accounted{false};
+    /// The scheduler's pending gauge. A shared_ptr so a handle outliving
+    /// its scheduler cancels against a still-live counter. Set before the
+    /// handle is published, const afterwards.
+    std::shared_ptr<std::atomic<size_t>> pending_gauge;
+
+    /// Takes the task off the pending gauge, exactly once: a one-shot
+    /// leaves it when it runs or is cancelled, a periodic when cancelled.
+    /// Returns false for every caller after the first.
+    bool Settle() {
+      if (accounted.exchange(true, std::memory_order_acq_rel)) return false;
+      pending_gauge->fetch_sub(1, std::memory_order_acq_rel);
+      return true;
+    }
   };
   explicit TaskHandle(std::shared_ptr<State> state) : state_(std::move(state)) {}
   std::shared_ptr<State> state_;
@@ -100,7 +105,7 @@ struct SchedulerStats {
   /// only): the work-stealing imbalance-relief counter.
   uint64_t tasks_stolen = 0;
 
-  // Overload accounting (see TaskScheduler::SetOverloadPolicy).
+  // Overload accounting (see SchedulerOverloadPolicy).
   /// Executions that started more than the policy's deadline_slack past
   /// their scheduled time. 0 while deadline tracking is off.
   uint64_t deadline_misses = 0;
@@ -110,13 +115,15 @@ struct SchedulerStats {
   double miss_rate_ewma = 0.0;
   /// Hysteretic overload signal derived from miss_rate_ewma.
   bool overloaded = false;
-  /// Pending entries in the run queue at snapshot time (gauge).
+  /// Admitted tasks not yet run or cancelled: pending one-shots plus live
+  /// periodics (gauge).
   size_t queue_depth = 0;
   /// Fraction of workers currently executing a task (ThreadPool only).
   double utilization = 0.0;
 };
 
-/// \brief Admission-control and deadline-accounting policy of a scheduler.
+/// \brief Admission control, deadline accounting and watchdog of a
+/// scheduler, fixed at construction. Everything is off by default.
 ///
 /// Under overload the metadata layer must degrade predictably instead of
 /// letting its own run queue grow without bound: one-shot tasks past the
@@ -126,36 +133,62 @@ struct SchedulerStats {
 /// always admitted — they are the maintenance backbone whose *cadence* is
 /// degraded by the manager, never silently dropped.
 struct SchedulerOverloadPolicy {
-  /// Maximum pending entries before one-shot admissions are rejected.
-  /// 0 = unbounded (admission control off).
+  /// One overrunning periodic-task execution, as seen by the watchdog.
+  struct OverrunReport {
+    Timestamp scheduled_at = 0;  ///< the execution's deadline
+    Duration period = 0;         ///< the task's period
+    Duration runtime = 0;        ///< measured real runtime, microseconds
+  };
+
+  /// Maximum pending entries (queue_depth) before one-shot admissions are
+  /// rejected. 0 = unbounded (admission control off).
   size_t max_pending = 0;
-  /// Lateness beyond which an execution counts as a deadline miss.
+  /// Lateness beyond which an execution counts as a deadline miss, feeding
+  /// the miss-rate EWMA and the hysteretic overloaded() signal.
   /// 0 = deadline tracking off (miss rate and overload signal stay 0).
   Duration deadline_slack = 0;
+  /// Watchdog (paper §4.3 hardening): a periodic task whose measured
+  /// real-time runtime exceeds `overrun_factor * period` is counted in
+  /// stats().overruns and reported through `on_overrun`. <= 0 = off.
+  double overrun_factor = 0.0;
+  /// Runs on the thread that executed the task, outside all scheduler
+  /// locks, so a stalled task is reported without blocking other workers.
+  std::function<void(const OverrunReport&)> on_overrun;
+
   /// EWMA weight of the newest execution's miss indicator.
-  double ewma_alpha = 0.25;
+  static constexpr double kMissRateAlpha = 0.25;
   /// miss_rate_ewma at/above which the scheduler reports overloaded.
-  double enter_overload = 0.5;
+  static constexpr double kEnterOverload = 0.5;
   /// miss_rate_ewma at/below which an overloaded scheduler recovers
-  /// (hysteresis: must be below enter_overload).
-  double exit_overload = 0.125;
+  /// (hysteresis: below kEnterOverload).
+  static constexpr double kExitOverload = 0.125;
 };
 
-/// \brief Interface for time-based task execution.
+/// \brief Time-based task execution: the scheduler core.
+///
+/// Owns admission, the timer-queue type and the run path; an
+/// implementation supplies the clock and Enqueue(), and pops due entries
+/// from its TimerQueue(s) into RunEntry().
 class TaskScheduler {
  public:
   using Task = std::function<void()>;
+  using OverrunReport = SchedulerOverloadPolicy::OverrunReport;
 
   virtual ~TaskScheduler() = default;
 
-  /// Runs `fn` once at (or as soon as possible after) time `when`.
-  virtual TaskHandle ScheduleAt(Timestamp when, Task fn) = 0;
+  /// Runs `fn` once at (or as soon as possible after) time `when`. Returns
+  /// an invalid handle when admission control rejects the task; callers
+  /// must treat that as shed work.
+  TaskHandle ScheduleAt(Timestamp when, Task fn) {
+    return Schedule(when, /*period=*/0, std::move(fn));
+  }
 
   /// Runs `fn` every `period` microseconds, first at now + `period` (or at
   /// `first_at` when provided). Periodic tasks keep a fixed cadence: the n-th
   /// execution is scheduled at first + n*period regardless of task runtime.
-  virtual TaskHandle SchedulePeriodic(Duration period, Task fn,
-                                      Timestamp first_at = kTimestampNever) = 0;
+  /// Always admitted.
+  TaskHandle SchedulePeriodic(Duration period, Task fn,
+                              Timestamp first_at = kTimestampNever);
 
   /// Convenience: runs `fn` once after `delay` microseconds.
   TaskHandle ScheduleAfter(Duration delay, Task fn) {
@@ -166,38 +199,7 @@ class TaskScheduler {
   virtual Clock& clock() = 0;
 
   /// Snapshot of execution statistics.
-  virtual SchedulerStats stats() const = 0;
-
-  /// \brief One overrunning periodic-task execution, as seen by the watchdog.
-  struct OverrunReport {
-    Timestamp scheduled_at = 0;  ///< the execution's deadline
-    Duration period = 0;         ///< the task's period
-    Duration runtime = 0;        ///< measured real runtime, microseconds
-  };
-  using OverrunCallback = std::function<void(const OverrunReport&)>;
-
-  /// \brief Arms the scheduler watchdog (paper §4.3 hardening): a periodic
-  /// task whose measured real-time runtime exceeds `overrun_factor * period`
-  /// is counted in stats().overruns and reported through `cb`.
-  ///
-  /// The callback runs on the thread that executed the task, outside all
-  /// scheduler locks, so a stalled task is reported without blocking other
-  /// workers. `overrun_factor <= 0` disarms the watchdog.
-  void SetWatchdog(double overrun_factor, OverrunCallback cb = nullptr);
-
-  /// The armed overrun factor (0 when the watchdog is off).
-  double watchdog_overrun_factor() const;
-
-  /// \brief Arms run-queue admission control and deadline accounting.
-  ///
-  /// With a non-zero `max_pending`, ScheduleAt (one-shot tasks only) returns
-  /// an invalid TaskHandle once the run queue holds that many entries;
-  /// callers must treat a rejected admission as shed work. With a non-zero
-  /// `deadline_slack`, every execution's lateness is classified as a
-  /// deadline miss or not, feeding the miss-rate EWMA and the hysteretic
-  /// `overloaded()` signal in stats(). Safe to call at any time.
-  void SetOverloadPolicy(const SchedulerOverloadPolicy& policy);
-  SchedulerOverloadPolicy overload_policy() const;
+  virtual SchedulerStats stats() const;
 
   /// Current hysteretic overload signal (false while deadline tracking is
   /// off). Cheap: one atomic load — callable from governor hot paths.
@@ -206,40 +208,82 @@ class TaskScheduler {
   }
 
  protected:
-  /// True when a one-shot admission fits under the policy's queue bound;
-  /// otherwise counts the rejection. `pending` is the pre-push queue size.
-  bool AdmitOneShot(size_t pending);
+  explicit TaskScheduler(SchedulerOverloadPolicy policy);
 
-  /// Classifies one execution's lateness against the policy (miss counter,
-  /// EWMA, hysteretic overload flag). Call outside the queue lock.
-  void RecordExecutionLateness(Duration lateness);
+  /// One admitted task in a timer queue.
+  struct Entry {
+    Timestamp when = 0;
+    uint64_t seq = 0;  ///< insertion order, the tie break on equal `when`
+    std::shared_ptr<Task> fn;  ///< shared by a periodic's successive entries
+    std::shared_ptr<TaskHandle::State> state;
+    Duration period = 0;  ///< 0 => one-shot
+  };
 
-  /// Copies the overload counters/gauges into `stats`.
-  void FillOverloadStats(SchedulerStats* stats) const;
+  /// \brief A timer queue: entries in (when, seq) order. Not locked; each
+  /// implementation guards its queues.
+  class TimerQueue {
+   public:
+    /// Inserts `e`, stamping the next sequence number.
+    void Push(Entry e);
 
-  /// True when the watchdog is armed and a periodic task of `period` ran for
-  /// `runtime` real microseconds past the allowed overrun factor.
-  bool IsOverrun(Duration period, Duration runtime) const;
+    /// Moves the earliest entry due at or before `due_by` into `out`.
+    /// Cancelled entries met at the top are reclaimed whatever their due
+    /// time, leaving the pending gauge unless Cancel() already settled them.
+    bool PopDue(Timestamp due_by, Entry* out);
 
-  /// Delivers one overrun report to the armed callback, if any. Must be
-  /// called outside the implementation's queue lock.
-  void NotifyOverrun(Timestamp scheduled_at, Duration period, Duration runtime);
+    bool empty() const { return heap_.empty(); }
+    /// Entries held, including cancelled ones not yet reclaimed.
+    size_t size() const { return heap_.size(); }
+    /// Due time of the earliest entry, or kTimestampMax when empty.
+    Timestamp next_due() const {
+      return heap_.empty() ? kTimestampMax : heap_.front().when;
+    }
+
+   private:
+    /// Heap order: `a` is due after `b`.
+    static bool Later(const Entry& a, const Entry& b);
+
+    std::vector<Entry> heap_;  ///< a binary min-heap on (when, seq)
+    uint64_t next_seq_ = 0;
+  };
+
+  /// The run path, called with no lock held: settles a one-shot on the
+  /// pending gauge, skips a cancelled entry, records its lateness against
+  /// `now`, runs it, and measures its real runtime for the watchdog.
+  /// Returns false when the entry was skipped or is cancelled by now.
+  bool RunEntry(const Entry& e, Timestamp now);
 
  private:
-  mutable Mutex watchdog_mu_{"TaskScheduler::watchdog_mu",
-                             lockorder::kRankWatchdog};
-  double overrun_factor_ PIPES_GUARDED_BY(watchdog_mu_) = 0.0;
-  OverrunCallback overrun_cb_ PIPES_GUARDED_BY(watchdog_mu_);
+  /// Admission, then Enqueue(): a one-shot is rejected while max_pending
+  /// tasks are pending; a periodic always gets in.
+  TaskHandle Schedule(Timestamp when, Duration period, Task fn);
 
-  /// Ranked above the implementations' queue locks: AdmitOneShot runs while
-  /// a Schedule* call holds the queue lock.
-  mutable Mutex overload_mu_{"TaskScheduler::overload_mu",
-                             lockorder::kRankSchedulerOverload};
-  SchedulerOverloadPolicy overload_policy_ PIPES_GUARDED_BY(overload_mu_);
-  uint64_t deadline_misses_ PIPES_GUARDED_BY(overload_mu_) = 0;
-  uint64_t tasks_rejected_ PIPES_GUARDED_BY(overload_mu_) = 0;
-  double miss_rate_ewma_ PIPES_GUARDED_BY(overload_mu_) = 0.0;
-  /// Atomic mirror of the hysteretic flag so overloaded() is lock-free.
+  /// Hands an admitted entry to the implementation's queue(s).
+  virtual void Enqueue(Entry e) = 0;
+
+  /// Classifies one execution's lateness against deadline_slack (miss
+  /// counter, EWMA, hysteretic overload flag).
+  void RecordLateness(Duration lateness);
+
+  const SchedulerOverloadPolicy policy_;
+  /// Admitted tasks not yet settled (see TaskHandle::State::Settle).
+  /// Heap-held so TaskHandle::Cancel can settle after the scheduler died.
+  const std::shared_ptr<std::atomic<size_t>> pending_;
+  std::atomic<uint64_t> tasks_rejected_{0};
+  ShardedCounter tasks_run_;
+  ShardedCounter total_lateness_;
+  std::atomic<Duration> max_lateness_{0};
+  std::atomic<Duration> max_task_runtime_{0};
+  std::atomic<uint64_t> overruns_{0};
+  std::atomic<uint64_t> deadline_misses_{0};
+
+  /// Serializes the miss-rate update and the hysteresis decision; taken
+  /// only while deadline tracking is on, by the run path, holding nothing
+  /// else.
+  Mutex overload_mu_{"TaskScheduler::overload_mu",
+                     lockorder::kRankSchedulerOverload};
+  /// Written under overload_mu_, read lock-free by stats().
+  std::atomic<double> miss_rate_ewma_{0.0};
   std::atomic<bool> overloaded_{false};
 };
 
@@ -252,14 +296,11 @@ class TaskScheduler {
 class VirtualTimeScheduler final : public TaskScheduler {
  public:
   /// Uses an internal clock when `clock` is null.
-  explicit VirtualTimeScheduler(VirtualClock* clock = nullptr);
+  explicit VirtualTimeScheduler(VirtualClock* clock = nullptr,
+                                SchedulerOverloadPolicy policy = {});
 
-  TaskHandle ScheduleAt(Timestamp when, Task fn) override;
-  TaskHandle SchedulePeriodic(Duration period, Task fn,
-                              Timestamp first_at = kTimestampNever) override;
   Clock& clock() override { return *clock_; }
   VirtualClock& virtual_clock() { return *clock_; }
-  SchedulerStats stats() const override;
 
   /// Executes all tasks with timestamp <= `t`, advancing the clock to each
   /// task's time, then sets the clock to `t`. Returns the number of tasks run.
@@ -270,42 +311,24 @@ class VirtualTimeScheduler final : public TaskScheduler {
 
   /// Executes the single next pending task (advancing the clock to it).
   /// Returns false if no task is pending.
-  bool RunNext();
+  bool RunNext() { return RunNextDue(kTimestampMax); }
 
-  /// Number of pending (non-cancelled at last sweep) entries.
+  /// Number of queued entries (cancelled ones count until reclaimed).
   size_t pending_count() const;
 
-  /// Timestamp of the earliest pending task, or kTimestampMax if none.
+  /// Timestamp of the earliest queued entry, or kTimestampMax if none.
   Timestamp next_deadline() const;
 
  private:
-  struct Entry {
-    Timestamp when;
-    uint64_t seq;
-    Task fn;
-    std::shared_ptr<TaskHandle::State> state;
-    Duration period;  // 0 => one-shot
-  };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  // Pops the next runnable entry with when <= t; returns false if none.
-  bool PopDue(Timestamp t, Entry* out);
-  // Runs a popped entry at its time, accounts it and re-arms a periodic one.
-  void RunEntry(Entry& e);
+  void Enqueue(Entry e) override;
+  /// Pops and runs the next live entry due by `due_by`; false if none.
+  bool RunNextDue(Timestamp due_by);
 
   // pipes-analyze: unguarded(fixed at construction; only Run/RunFor advance the clock, single-threaded by contract)
   VirtualClock owned_clock_;
   VirtualClock* clock_;  // pipes-analyze: unguarded(set once in the ctor, never reseated)
   mutable Mutex mu_{"VirtualTimeScheduler::mu", lockorder::kRankScheduler};
-  std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_
-      PIPES_GUARDED_BY(mu_);
-  uint64_t next_seq_ PIPES_GUARDED_BY(mu_) = 0;
-  SchedulerStats stats_ PIPES_GUARDED_BY(mu_);
+  TimerQueue queue_ PIPES_GUARDED_BY(mu_);
 };
 
 /// \brief Real-time scheduler over a pool of worker threads (paper §4.3).
@@ -314,26 +337,23 @@ class VirtualTimeScheduler final : public TaskScheduler {
 /// With `num_threads == 1` this is the paper's "single thread is sufficient
 /// to handle all periodic updates for small query graphs" configuration.
 ///
-/// The run queue is sharded one-per-worker: each worker pushes, pops, and
-/// re-arms periodics against its own timer queue (producers distribute new
-/// tasks round-robin), so workers do not contend on one queue lock as the
-/// pool grows. Imbalance is relieved by work stealing: a worker with nothing
-/// due try-locks sibling shards and runs their due tasks. Admission control,
-/// deadline accounting, and the overload gauges aggregate per-shard counters
-/// and process-wide atomics, so SetOverloadPolicy semantics are unchanged.
+/// The run queue is sharded one-per-worker: each worker pops and re-arms
+/// periodics against its own timer queue (producers distribute new tasks
+/// round-robin), so workers do not contend on one queue lock as the pool
+/// grows. Imbalance is relieved by work stealing: a worker with nothing due
+/// try-locks sibling shards and runs their due tasks. Admission, deadline
+/// accounting and the overload gauges are the core's, shared by all shards.
 class ThreadPoolScheduler final : public TaskScheduler {
  public:
   /// Starts `num_threads` workers against `clock` (a SystemClock is created
   /// internally when null).
-  explicit ThreadPoolScheduler(size_t num_threads = 1, Clock* clock = nullptr);
+  explicit ThreadPoolScheduler(size_t num_threads = 1, Clock* clock = nullptr,
+                               SchedulerOverloadPolicy policy = {});
   ~ThreadPoolScheduler() override;
 
   ThreadPoolScheduler(const ThreadPoolScheduler&) = delete;
   ThreadPoolScheduler& operator=(const ThreadPoolScheduler&) = delete;
 
-  TaskHandle ScheduleAt(Timestamp when, Task fn) override;
-  TaskHandle SchedulePeriodic(Duration period, Task fn,
-                              Timestamp first_at = kTimestampNever) override;
   Clock& clock() override { return *clock_; }
   SchedulerStats stats() const override;
 
@@ -344,21 +364,7 @@ class ThreadPoolScheduler final : public TaskScheduler {
   size_t num_threads() const { return threads_.size(); }
 
  private:
-  struct Entry {
-    Timestamp when;
-    uint64_t seq;
-    std::shared_ptr<Task> fn;
-    std::shared_ptr<TaskHandle::State> state;
-    Duration period;  // 0 => one-shot
-  };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// \brief One worker's timer queue (shard). Push/pop are owner-local in
+  /// \brief One worker's timer queue (shard). Pops are owner-local in
   /// steady state; producers distribute round-robin and siblings steal due
   /// tasks, both through the same per-shard lock.
   struct Shard {
@@ -367,47 +373,33 @@ class ThreadPoolScheduler final : public TaskScheduler {
     /// condition_variable_any: the annotated pipes::Mutex is Lockable but is
     /// not std::mutex, which plain std::condition_variable requires.
     std::condition_variable_any cv;  // pipes-analyze: unguarded(condition variables are internally synchronized)
-    std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue
-        PIPES_GUARDED_BY(mu);
-    uint64_t next_seq PIPES_GUARDED_BY(mu) = 0;
+    TimerQueue queue PIPES_GUARDED_BY(mu);
     /// The owning worker is blocked in the indefinite nothing-anywhere wait.
-    /// Schedule* must wake it even when the new task does not preempt any
+    /// Enqueue must wake it even when the new task does not preempt any
     /// deadline (it has no deadline to wake towards), and producers pushing
     /// due work to a busy sibling wake it through steal_hint.
     bool idle PIPES_GUARDED_BY(mu) = false;
     /// Tells an idle owner to re-run its steal scan: a producer pushed due
     /// work onto a shard whose owner is mid-task.
     bool steal_hint PIPES_GUARDED_BY(mu) = false;
-    /// Per-shard slice of the execution counters; stats() aggregates.
-    SchedulerStats stats PIPES_GUARDED_BY(mu);
+    uint64_t cv_notifies PIPES_GUARDED_BY(mu) = 0;
+    uint64_t cv_notifies_skipped PIPES_GUARDED_BY(mu) = 0;
   };
+
+  void Enqueue(Entry e) override;
 
   /// Lock/unlock around task execution is too dynamic for static analysis;
   /// checked by the runtime lock-order validator instead.
   void WorkerLoop(size_t self) PIPES_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Pops the next runnable due entry of `shard` (reclaiming cancelled
-  /// entries it meets) into `out`, recording pop-side stats. Requires
-  /// shard.mu held (dynamic capability, validated at runtime).
-  bool PopDueEntry(Shard& shard, Timestamp now, Entry* out)
+  /// Pops the next live entry of `shard` due by `now`, re-arming a periodic
+  /// into the same shard. Requires shard.mu held (dynamic capability,
+  /// validated at runtime).
+  bool PopDue(Shard& shard, Timestamp now, Entry* out)
       PIPES_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Settles a reclaimed or popped entry against the pending-one-shot gauge
-  /// (exactly-once versus TaskHandle::Cancel). Returns false when the entry
-  /// lost the race (already accounted == already cancelled-and-settled).
-  bool SettleOneShot(const Entry& e);
-
-  /// Runs one popped entry outside all shard locks: gauge settlement,
-  /// lateness/overload accounting, execution, watchdog. Runtime stats are
-  /// recorded into `home` (the executing worker's shard) afterwards.
-  void ExecuteEntry(Entry e, Timestamp now, Shard& home)
-      PIPES_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// True when a task newly pushed at `when` needs a wakeup of the shard's
-  /// owner, given the pre-push queue state; counts the decision in
-  /// shard.stats. Requires shard.mu held.
-  bool NoteScheduled(Shard& shard, bool was_empty, Timestamp prev_top_when,
-                     Timestamp when) PIPES_NO_THREAD_SAFETY_ANALYSIS;
+  /// RunEntry() with the pool-utilization gauge around it.
+  void Execute(const Entry& e, Timestamp now);
 
   /// Wakes one idle worker other than `except` so it can steal newly pushed
   /// due work from a shard whose owner is busy. Holds no lock on entry.
@@ -423,13 +415,6 @@ class ThreadPoolScheduler final : public TaskScheduler {
   /// Round-robin distribution cursor for new tasks.
   std::atomic<uint64_t> push_cursor_{0};
   std::atomic<bool> stopping_{false};
-  /// Admitted, not-yet-settled one-shot entries across all shards. Heap-held
-  /// so TaskHandle::Cancel can settle against it after the scheduler died.
-  // pipes-analyze: unguarded(set once in the ctor; the pointee is atomic)
-  std::shared_ptr<std::atomic<size_t>> pending_oneshots_;
-  /// Live periodic entries across all shards (cancelled periodics leave the
-  /// gauge when their entry surfaces; their cadence is their reclaim bound).
-  std::atomic<size_t> periodic_entries_{0};
   /// Due tasks run from a sibling's shard (aggregated into stats()).
   std::atomic<uint64_t> tasks_stolen_{0};
   /// Workers currently executing a task (pool-utilization gauge).

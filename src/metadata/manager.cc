@@ -494,7 +494,6 @@ void MetadataManager::RunWave(MetadataHandler& origin, Timestamp now) {
   } else {
     stats_wave_plan_hits_.Increment();
   }
-  stats_waves_.Increment();
 
   if (plan->refresh.empty()) return;
   for (MetadataHandler* h : plan->refresh) {
@@ -799,11 +798,12 @@ MetadataManagerStats MetadataManager::stats() const {
   s.handlers_removed = stats_removed_.load(std::memory_order_relaxed);
   s.active_handlers = stats_active_.load(std::memory_order_relaxed);
   s.evaluations = stats_evaluations_.Value();
-  s.waves = stats_waves_.Value();
   s.wave_refreshes = stats_wave_refreshes_.Value();
   s.events_fired = stats_events_.Value();
   s.wave_plan_hits = stats_wave_plan_hits_.Value();
   s.wave_plan_rebuilds = stats_wave_plan_rebuilds_.Value();
+  // Every wave either hits its cached plan or rebuilds it.
+  s.waves = s.wave_plan_hits + s.wave_plan_rebuilds;
   s.eval_failures = stats_eval_failures_.Value();
   s.evals_skipped = stats_evals_skipped_.Value();
   s.degradations = stats_degradations_.load(std::memory_order_relaxed);
@@ -823,10 +823,6 @@ MetadataManagerStats MetadataManager::stats() const {
   s.storm_flushes = stats_storm_flushes_.load(std::memory_order_relaxed);
   s.breaker_trips = stats_breaker_trips_.load(std::memory_order_relaxed);
   s.breakers_active = stats_breakers_now_.load(std::memory_order_relaxed);
-  SchedulerStats sched = scheduler_.stats();
-  s.scheduler_deadline_misses = sched.deadline_misses;
-  s.scheduler_rejections = sched.tasks_rejected;
-  s.scheduler_overloaded = sched.overloaded;
   if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
     DurabilityStats ds = d->stats();
     s.durability_enabled = true;

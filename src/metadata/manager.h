@@ -83,7 +83,7 @@ struct MetadataManagerStats {
   uint64_t handlers_removed = 0;
   uint64_t active_handlers = 0;    ///< currently included items
   uint64_t evaluations = 0;        ///< evaluator invocations (maintenance cost)
-  uint64_t waves = 0;              ///< propagation waves
+  uint64_t waves = 0;              ///< propagation waves (hits + rebuilds)
   uint64_t wave_refreshes = 0;     ///< triggered-handler refreshes in waves
   uint64_t events_fired = 0;       ///< manual event notifications
   uint64_t wave_plan_hits = 0;     ///< waves served by a cached plan
@@ -116,12 +116,6 @@ struct MetadataManagerStats {
   uint64_t storm_flushes = 0;      ///< coalesced-wave flushes executed
   uint64_t breaker_trips = 0;      ///< origins converted to batch refresh
   uint64_t breakers_active = 0;    ///< origins currently batch-refreshing (gauge)
-
-  // Mirrors of the scheduler's overload accounting, so one snapshot shows
-  // the whole degradation picture (see SchedulerStats for semantics).
-  uint64_t scheduler_deadline_misses = 0;
-  uint64_t scheduler_rejections = 0;
-  bool scheduler_overloaded = false;
 
   // Durability (journal/checkpoint/recovery; see EnableDurability and
   // persistence.h). All zero while durability is off and no recovery ran.
@@ -578,7 +572,6 @@ class MetadataManager {
   /// every driving thread. Sharded so that waves from disjoint origins on
   /// different threads do not all write one cache line.
   ShardedCounter stats_events_;
-  ShardedCounter stats_waves_;
   ShardedCounter stats_wave_refreshes_;
   ShardedCounter stats_wave_plan_hits_;
   ShardedCounter stats_wave_plan_rebuilds_;

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/scheduler.h"
@@ -224,44 +227,66 @@ TEST(ThreadPoolSchedulerTest, StealsDueWorkFromBusySibling) {
                            "worker's shard; they can only finish by stealing";
 }
 
-TEST(ThreadPoolSchedulerTest, CancelledOneShotLeavesQueueDepthImmediately) {
-  ThreadPoolScheduler s(1);
-  TaskHandle h = s.ScheduleAfter(Seconds(60), [] {});
+// Cancellation goes through the timer queue and admission rule both
+// schedulers share, so these tests run against each of them.
+template <typename S>
+class SchedulerCoreTest : public ::testing::Test {
+ protected:
+  static std::unique_ptr<S> Make(SchedulerOverloadPolicy policy = {}) {
+    if constexpr (std::is_same_v<S, ThreadPoolScheduler>) {
+      return std::make_unique<S>(1, nullptr, std::move(policy));
+    } else {
+      return std::make_unique<S>(nullptr, std::move(policy));
+    }
+  }
+};
+struct SchedulerName {
+  template <typename S>
+  static std::string GetName(int) {
+    return std::is_same_v<S, ThreadPoolScheduler> ? "ThreadPool"
+                                                  : "VirtualTime";
+  }
+};
+using BothSchedulers =
+    ::testing::Types<VirtualTimeScheduler, ThreadPoolScheduler>;
+TYPED_TEST_SUITE(SchedulerCoreTest, BothSchedulers, SchedulerName);
+
+TYPED_TEST(SchedulerCoreTest, CancelledOneShotLeavesQueueDepthImmediately) {
+  auto s = TestFixture::Make();
+  TaskHandle h = s->ScheduleAfter(Seconds(60), [] {});
   ASSERT_TRUE(h.valid());
-  EXPECT_EQ(s.stats().queue_depth, 1u);
+  EXPECT_EQ(s->stats().queue_depth, 1u);
   // Lazy cancel: the queue entry lingers until its due time, but the gauge
   // (and admission, below) must drop the task the moment it is cancelled.
   h.Cancel();
-  EXPECT_EQ(s.stats().queue_depth, 0u);
+  EXPECT_EQ(s->stats().queue_depth, 0u);
 }
 
-TEST(ThreadPoolSchedulerTest, CancelledOneShotFreesAdmissionSlot) {
-  ThreadPoolScheduler s(1);
+TYPED_TEST(SchedulerCoreTest, CancelledOneShotFreesAdmissionSlot) {
   SchedulerOverloadPolicy policy;
   policy.max_pending = 2;
-  s.SetOverloadPolicy(policy);
+  auto s = TestFixture::Make(policy);
 
-  TaskHandle a = s.ScheduleAfter(Seconds(60), [] {});
-  TaskHandle b = s.ScheduleAfter(Seconds(60), [] {});
+  TaskHandle a = s->ScheduleAfter(Seconds(60), [] {});
+  TaskHandle b = s->ScheduleAfter(Seconds(60), [] {});
   ASSERT_TRUE(a.valid());
   ASSERT_TRUE(b.valid());
-  EXPECT_FALSE(s.ScheduleAfter(Seconds(60), [] {}).valid())
+  EXPECT_FALSE(s->ScheduleAfter(Seconds(60), [] {}).valid())
       << "queue full: the third one-shot must bounce";
 
   // Cancelling a pending one-shot frees its admission slot immediately —
   // not at the cancelled entry's far-future due time.
   a.Cancel();
-  TaskHandle c = s.ScheduleAfter(Seconds(60), [] {});
+  TaskHandle c = s->ScheduleAfter(Seconds(60), [] {});
   EXPECT_TRUE(c.valid());
-  EXPECT_EQ(s.stats().tasks_rejected, 1u);
-  EXPECT_EQ(s.stats().queue_depth, 2u);
+  EXPECT_EQ(s->stats().tasks_rejected, 1u);
+  EXPECT_EQ(s->stats().queue_depth, 2u);
 }
 
 TEST(SchedulerOverloadTest, AdmissionControlBoundsOneShotQueue) {
-  VirtualTimeScheduler s;
   SchedulerOverloadPolicy policy;
   policy.max_pending = 3;
-  s.SetOverloadPolicy(policy);
+  VirtualTimeScheduler s(nullptr, policy);
 
   int ran = 0;
   TaskHandle a = s.ScheduleAt(100, [&] { ++ran; });
@@ -300,13 +325,11 @@ TEST(SchedulerOverloadTest, UnboundedByDefault) {
 }
 
 TEST(SchedulerOverloadTest, DeadlineMissesDriveHystereticOverloadSignal) {
-  ThreadPoolScheduler s(1);
   SchedulerOverloadPolicy policy;
   // Generous slack so on-time tasks never misclassify on a slow machine;
   // tasks scheduled far in the past miss deterministically.
   policy.deadline_slack = Millis(250);
-  policy.ewma_alpha = 0.5;
-  s.SetOverloadPolicy(policy);
+  ThreadPoolScheduler s(1, nullptr, policy);
 
   std::atomic<int> ran{0};
   Timestamp past = s.clock().Now() - Seconds(2);
@@ -321,7 +344,7 @@ TEST(SchedulerOverloadTest, DeadlineMissesDriveHystereticOverloadSignal) {
 
   SchedulerStats st = s.stats();
   EXPECT_EQ(st.deadline_misses, static_cast<uint64_t>(kLate));
-  EXPECT_GT(st.miss_rate_ewma, policy.enter_overload);
+  EXPECT_GT(st.miss_rate_ewma, SchedulerOverloadPolicy::kEnterOverload);
   EXPECT_TRUE(st.overloaded);
   EXPECT_TRUE(s.overloaded());
 
@@ -337,7 +360,7 @@ TEST(SchedulerOverloadTest, DeadlineMissesDriveHystereticOverloadSignal) {
   }
   st = s.stats();
   EXPECT_EQ(st.deadline_misses, static_cast<uint64_t>(kLate));
-  EXPECT_LT(st.miss_rate_ewma, policy.exit_overload + 1e-9);
+  EXPECT_LT(st.miss_rate_ewma, SchedulerOverloadPolicy::kExitOverload + 1e-9);
   EXPECT_FALSE(st.overloaded);
 }
 

@@ -288,10 +288,9 @@ TEST(MetadataConcurrencyTest, NestedWaveWithStalePlanIsNeverShed) {
   // the spot: a wave handed to the scheduler instead can be shed by
   // admission control, leaving its triggered dependent stale for good
   // (§3.2.3 promises triggered items are never stale).
-  MetaFixture fx;
   SchedulerOverloadPolicy policy;
   policy.max_pending = 1;
-  fx.scheduler.SetOverloadPolicy(policy);
+  MetaFixture fx(policy);
   // A far-future filler takes the only slot: any further one-shot is shed.
   TaskHandle filler = fx.scheduler.ScheduleAt(fx.Now() + Seconds(3600), [] {});
   ASSERT_TRUE(filler.valid());
@@ -335,7 +334,7 @@ TEST(MetadataConcurrencyTest, NestedWaveWithStalePlanIsNeverShed) {
   EXPECT_EQ(sub_b->Get().AsInt(), 42)
       << "the nested wave must refresh tb before FireEvent returns";
   MetadataManagerStats st = fx.manager.stats();
-  EXPECT_EQ(st.scheduler_rejections, 0u);
+  EXPECT_EQ(fx.scheduler.stats().tasks_rejected, 0u);
   EXPECT_EQ(st.waves_deferred, 0u);
   EXPECT_EQ(st.waves, 2u);
   EXPECT_EQ(st.wave_plan_rebuilds, 2u);

@@ -462,13 +462,15 @@ TEST(FaultToleranceTest, WrappedEvaluatorInjectsThrowAndNan) {
 }
 
 TEST(FaultToleranceTest, WatchdogFlagsOverrunningPeriodicTask) {
-  MetaFixture fx;
   int overruns_reported = 0;
-  fx.scheduler.SetWatchdog(2.0, [&](const TaskScheduler::OverrunReport& r) {
+  SchedulerOverloadPolicy policy;
+  policy.overrun_factor = 2.0;
+  policy.on_overrun = [&](const TaskScheduler::OverrunReport& r) {
     ++overruns_reported;
     EXPECT_EQ(r.period, 1000);
     EXPECT_GT(r.runtime, 2000);
-  });
+  };
+  MetaFixture fx(policy);
   FaultInjector inj(5);
   inj.Arm("slow", FaultSpec::Sleeping(1.0, /*5 ms real*/ 5000));
   auto task = inj.Wrap("slow", [] { return 0.0; });

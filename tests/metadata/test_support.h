@@ -31,6 +31,9 @@ class SimpleProvider : public MetadataProvider {
 
 /// Virtual-time manager fixture.
 struct MetaFixture {
+  explicit MetaFixture(SchedulerOverloadPolicy policy = {})
+      : scheduler(nullptr, std::move(policy)) {}
+
   VirtualTimeScheduler scheduler;
   MetadataManager manager{scheduler};
 

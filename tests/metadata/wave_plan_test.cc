@@ -73,6 +73,8 @@ TEST(WavePlanTest, SteadyStateWavesHitTheCachedPlan) {
   auto s2 = fx.manager.stats();
   EXPECT_EQ(s2.wave_plan_rebuilds, 1u) << "unchanged graph must not rebuild";
   EXPECT_EQ(s2.wave_plan_hits, 2u);
+  // Every wave either hits its cached plan or rebuilds it.
+  EXPECT_EQ(s2.waves, s2.wave_plan_hits + s2.wave_plan_rebuilds);
   // Each wave refreshed both triggered handlers, dependencies first.
   EXPECT_EQ(s2.wave_refreshes, 6u);
 }
