@@ -213,17 +213,22 @@ constexpr int kParOrigins = 8;
 constexpr int kParDepth = 8;
 
 struct ParallelFixture {
+  /// Each origin's input on its own cache line, so disjoint drivers bumping
+  /// their inputs do not share a written line outside the system under test.
+  struct alignas(64) OriginValue {
+    std::atomic<uint64_t> v{0};
+  };
+
   VirtualTimeScheduler scheduler;
   MetadataManager manager{scheduler};
   ProviderOnly op{"op"};
-  std::atomic<uint64_t> values[kParOrigins];
+  OriginValue values[kParOrigins];
   std::vector<MetadataSubscription> subs;
   std::vector<std::string> origins;
 
   ParallelFixture() {
     for (int c = 0; c < kParOrigins; ++c) {
-      values[c].store(0, std::memory_order_relaxed);
-      std::atomic<uint64_t>* v = &values[c];
+      std::atomic<uint64_t>* v = &values[c].v;
       std::string base = "c" + std::to_string(c) + "_t0";
       (void)op.metadata_registry().Define(
           MetadataDescriptor::OnDemand(base).WithEvaluator(
@@ -250,14 +255,14 @@ struct ParallelFixture {
     // Build every chain's wave plan before any driver thread starts.
     for (int c = 0; c < kParOrigins; ++c) {
       for (int i = 0; i < 16; ++i) {
-        values[c].fetch_add(1, std::memory_order_relaxed);
+        values[c].v.fetch_add(1, std::memory_order_relaxed);
         manager.FireEvent(op, origins[c]);
       }
     }
   }
 
   void Fire(int c) {
-    values[c].fetch_add(1, std::memory_order_relaxed);
+    values[c].v.fetch_add(1, std::memory_order_relaxed);
     manager.FireEvent(op, origins[c]);
   }
 };

@@ -162,17 +162,44 @@ LockOrderValidator& LockOrderValidator::Instance() {
   return *instance;
 }
 
+namespace {
+
+/// One entry of a thread's cache of interned classes, keyed by the address
+/// of the name string the caller passed (a string literal at every lock in
+/// this codebase, so one entry per construction site).
+struct InternedClass {
+  const char* name;
+  const LockClass* cls;
+};
+constexpr std::size_t kInternCacheSize = 64;
+thread_local InternedClass t_interned[kInternCacheSize];
+
+}  // namespace
+
 const LockClass* RegisterLockClass(const char* name, int rank,
                                    bool reentrant) {
+  // Constructing a lock must touch no shared state once its name is
+  // interned: a hit in the calling thread's cache reads only the immutable
+  // class. The name comparison keeps a reused name buffer from hitting.
+  const std::uintptr_t key = reinterpret_cast<std::uintptr_t>(name) >> 3;
+  InternedClass& entry = t_interned[key % kInternCacheSize];
+  if (entry.name == name && entry.cls->name() == name) return entry.cls;
+
   LockOrderValidator::Instance();  // force construction before first use
-  // Interning shares one class across every lock with the same name.
+  // Interning shares one class across every lock with the same name; the
+  // first registration wins.
   static std::mutex mu;
   static auto* classes = new std::unordered_map<std::string, LockClass*>();
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = classes->find(name);
-  if (it != classes->end()) return it->second;
-  auto* cls = new LockClass(name, rank, reentrant);  // leaked (interned)
-  classes->emplace(name, cls);
+  const LockClass* cls;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    LockClass*& interned = (*classes)[name];
+    if (interned == nullptr) {
+      interned = new LockClass(name, rank, reentrant);  // leaked (interned)
+    }
+    cls = interned;
+  }
+  entry = {name, cls};
   return cls;
 }
 

@@ -18,8 +18,9 @@
 ///    appear on the held side of an edge) but never create wait edges
 ///    themselves: a reentrant reader admission can not close a wait cycle on
 ///    its own. A first-level reader can (it queues behind a waiting writer);
-///    ThreadSanitizer's deadlock detector, which sees the underlying
-///    pthread rwlock, covers those cycles (DESIGN.md §3.4.1).
+///    ThreadSanitizer's deadlock detector covers those cycles, because
+///    ReentrantSharedMutex annotates its slot lock for TSan as a mutex
+///    read-locked on the shared side (DESIGN.md §3.4.1).
 ///  - Re-acquiring an instance the thread already holds is reentrant: the
 ///    hold depth grows, no edge is recorded, nothing is reported (unless the
 ///    lock class is non-reentrant — that is a self-deadlock report).
@@ -126,6 +127,8 @@ class LockClass;
 /// Interns a lock class by name. `rank` 0 means unranked; `reentrant` marks
 /// classes whose instances may legally be re-acquired by the holding thread.
 /// The first registration of a name wins; later calls return the same class.
+/// Every lock constructor calls this, so a name the calling thread has
+/// interned before is served from a per-thread cache without a lock.
 const LockClass* RegisterLockClass(const char* name, int rank = 0,
                                    bool reentrant = false);
 

@@ -1,10 +1,19 @@
 #include "common/reentrant_shared_mutex.h"
 
 #include <cassert>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <vector>
+
+#if defined(__SANITIZE_THREAD__)
+#define PIPES_TSAN_ANNOTATE 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PIPES_TSAN_ANNOTATE 1
+#endif
+#endif
+#ifdef PIPES_TSAN_ANNOTATE
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace pipes {
 
@@ -33,30 +42,104 @@ void DropHold(std::vector<Hold>& holds, Hold* h) {
   holds.pop_back();
 }
 
-void Check(int rc, const char* op) {
-  if (rc == 0) return;
-  std::fprintf(stderr, "ReentrantSharedMutex: %s failed: %s\n", op,
-               std::strerror(rc));
-  std::abort();
+// ThreadSanitizer does not see a lock made of atomics and futex waits, so
+// the slot lock tells it where it is taken and released. Memory accesses
+// between a pre and a post hook are the lock's own and are ignored.
+#ifdef PIPES_TSAN_ANNOTATE
+unsigned TsanFlags(bool shared) { return shared ? __tsan_mutex_read_lock : 0; }
+void TsanCreate(void* m) { __tsan_mutex_create(m, 0); }
+void TsanDestroy(void* m) { __tsan_mutex_destroy(m, 0); }
+void TsanPreLock(void* m, bool shared) {
+  __tsan_mutex_pre_lock(m, TsanFlags(shared));
 }
+void TsanPostLock(void* m, bool shared) {
+  __tsan_mutex_post_lock(m, TsanFlags(shared), 0);
+}
+void TsanPreUnlock(void* m, bool shared) {
+  __tsan_mutex_pre_unlock(m, TsanFlags(shared));
+}
+void TsanPostUnlock(void* m, bool shared) {
+  __tsan_mutex_post_unlock(m, TsanFlags(shared));
+}
+#else
+void TsanCreate(void*) {}
+void TsanDestroy(void*) {}
+void TsanPreLock(void*, bool) {}
+void TsanPostLock(void*, bool) {}
+void TsanPreUnlock(void*, bool) {}
+void TsanPostUnlock(void*, bool) {}
+#endif
 
 }  // namespace
 
 ReentrantSharedMutex::ReentrantSharedMutex(const char* name, int rank)
     : cls_(lockorder::RegisterLockClass(name, rank, /*reentrant=*/true)) {
-  // glibc's only kind where a queued writer blocks new readers. It does not
-  // allow a thread to read-lock twice, which the hold list never does.
-  pthread_rwlockattr_t attr;
-  Check(pthread_rwlockattr_init(&attr), "pthread_rwlockattr_init");
-  Check(pthread_rwlockattr_setkind_np(
-            &attr, PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP),
-        "pthread_rwlockattr_setkind_np");
-  Check(pthread_rwlock_init(&rw_, &attr), "pthread_rwlock_init");
-  Check(pthread_rwlockattr_destroy(&attr), "pthread_rwlockattr_destroy");
+  TsanCreate(this);
 }
 
-ReentrantSharedMutex::~ReentrantSharedMutex() {
-  Check(pthread_rwlock_destroy(&rw_), "pthread_rwlock_destroy");
+ReentrantSharedMutex::~ReentrantSharedMutex() { TsanDestroy(this); }
+
+// The handshake between readers and writers is Dekker's: a reader writes
+// its slot then reads the writer word, a writer writes the writer word then
+// reads the slots, all sequentially consistent, so at least one of the two
+// sees the other. The same order makes wake-ups safe: a sleeper announces
+// itself in the writer word before its last check, and a releaser changes
+// the word it sleeps on before it reads the announcement.
+
+void ReentrantSharedMutex::AcquireExclusive() {
+  uint32_t w = writer_.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((w & kWriter) == 0) {
+      if (writer_.compare_exchange_weak(w, w | kWriter)) break;
+      continue;
+    }
+    WaitWhileWriter(w);
+    w = writer_.load(std::memory_order_relaxed);
+  }
+  // Claimed: new first-level readers now back out. Wait out the ones inside.
+  for (ReaderSlot& s : slots_) {
+    uint32_t n = s.readers.load();
+    while (n != 0) {
+      writer_.fetch_or(kDrainSleeper);
+      n = s.readers.load();
+      if (n == 0) break;
+      s.readers.wait(n);
+      n = s.readers.load();
+    }
+  }
+}
+
+void ReentrantSharedMutex::ReleaseExclusive() {
+  if (writer_.exchange(0) & kSleepers) writer_.notify_all();
+}
+
+void ReentrantSharedMutex::AcquireShared() {
+  std::atomic<uint32_t>& slot = slots_[ThreadSlot()].readers;
+  for (;;) {
+    slot.fetch_add(1);
+    const uint32_t w = writer_.load();
+    if ((w & kWriter) == 0) return;
+    // A writer has claimed the lock: step back so it can drain, and wait
+    // until it has been in and out.
+    ReleaseShared(slot);
+    WaitWhileWriter(w);
+  }
+}
+
+void ReentrantSharedMutex::ReleaseShared(std::atomic<uint32_t>& slot) {
+  slot.fetch_sub(1);
+  if (writer_.load() & kDrainSleeper) slot.notify_all();
+}
+
+void ReentrantSharedMutex::WaitWhileWriter(uint32_t w) {
+  while (w & kWriter) {
+    if ((w & kSleepers) == 0) {
+      if (!writer_.compare_exchange_weak(w, w | kSleepers)) continue;
+      w |= kSleepers;
+    }
+    writer_.wait(w);
+    w = writer_.load();
+  }
 }
 
 void ReentrantSharedMutex::lock() PIPES_NO_THREAD_SAFETY_ANALYSIS {
@@ -66,7 +149,7 @@ void ReentrantSharedMutex::lock() PIPES_NO_THREAD_SAFETY_ANALYSIS {
   std::vector<Hold>& holds = t_holds;
   if (Hold* h = FindHold(holds, this)) {
     if (h->exclusive == 0) {
-      // Only shared levels held: the write lock would wait for this thread's
+      // Only shared levels held: the writer would wait for this thread's
       // own read to drain. Reported in all builds, then fatal.
       lockorder::LockOrderValidator::Instance().ReportUpgrade(
           lockorder::LockClassName(cls_));
@@ -75,7 +158,9 @@ void ReentrantSharedMutex::lock() PIPES_NO_THREAD_SAFETY_ANALYSIS {
     ++h->exclusive;
     return;
   }
-  Check(pthread_rwlock_wrlock(&rw_), "pthread_rwlock_wrlock");
+  TsanPreLock(this, /*shared=*/false);
+  AcquireExclusive();
+  TsanPostLock(this, /*shared=*/false);
   holds.push_back({this, 0, 1});
 }
 
@@ -87,7 +172,9 @@ void ReentrantSharedMutex::unlock() PIPES_NO_THREAD_SAFETY_ANALYSIS {
     assert(h->shared == 0 &&
            "unlock() while still holding nested shared locks");
     DropHold(holds, h);
-    Check(pthread_rwlock_unlock(&rw_), "pthread_rwlock_unlock");
+    TsanPreUnlock(this, /*shared=*/false);
+    ReleaseExclusive();
+    TsanPostUnlock(this, /*shared=*/false);
   }
   lockorder::OnRelease(cls_, this);
 }
@@ -96,12 +183,14 @@ void ReentrantSharedMutex::lock_shared() PIPES_NO_THREAD_SAFETY_ANALYSIS {
   lockorder::OnAcquire(cls_, this, /*shared=*/true);
   std::vector<Hold>& holds = t_holds;
   if (Hold* h = FindHold(holds, this)) {
-    // A nested read, or a read inside the write: never reaches the rwlock,
-    // so it cannot queue behind a waiting writer and self-deadlock.
+    // A nested read, or a read inside the write: never reaches the slot
+    // lock, so it cannot queue behind a waiting writer and self-deadlock.
     ++h->shared;
     return;
   }
-  Check(pthread_rwlock_rdlock(&rw_), "pthread_rwlock_rdlock");
+  TsanPreLock(this, /*shared=*/true);
+  AcquireShared();
+  TsanPostLock(this, /*shared=*/true);
   holds.push_back({this, 1, 0});
 }
 
@@ -112,7 +201,9 @@ void ReentrantSharedMutex::unlock_shared() PIPES_NO_THREAD_SAFETY_ANALYSIS {
          "unlock_shared() without lock_shared()");
   if (--h->shared == 0 && h->exclusive == 0) {
     DropHold(holds, h);
-    Check(pthread_rwlock_unlock(&rw_), "pthread_rwlock_unlock");
+    TsanPreUnlock(this, /*shared=*/true);
+    ReleaseShared(slots_[ThreadSlot()].readers);
+    TsanPostUnlock(this, /*shared=*/true);
   }
   lockorder::OnRelease(cls_, this);
 }

@@ -3,18 +3,28 @@
 ///
 /// PIPES controls concurrent access "at graph-, operator-, and metadata level"
 /// with "three different types of reentrant read-write locks". This class is
-/// the building block: one writer-preferring `pthread_rwlock_t` plus a
-/// per-thread list of the locks the thread holds, with one {shared depth,
-/// exclusive depth} record per lock. The rwlock is touched only by a thread's
-/// outermost acquisition and final release; every nested one just bumps the
-/// record, so the same thread may acquire the lock recursively as
+/// the building block: a writer-preferring slot lock plus a per-thread list
+/// of the locks the thread holds, with one {shared depth, exclusive depth}
+/// record per lock. The slot lock is touched only by a thread's outermost
+/// acquisition and final release; every nested one just bumps the record, so
+/// the same thread may acquire the lock recursively as
 ///   - read inside read,
 ///   - write inside write,
 ///   - read inside write (the writer takes shared levels for free).
 ///
-/// Writers are preferred: a queued writer blocks *new* readers, so waves
-/// holding the lock shared cannot starve a structural change. A reentrant
-/// reader never reaches the rwlock and so never waits behind that writer.
+/// The slot lock is eight reader counts, one cache line each, plus one
+/// writer word. A first-level reader increments the slot of its thread
+/// (ThreadSlot(), the rule ShardedCounter uses) and then reads the writer
+/// word, so readers on different threads write only their own lines and
+/// waves on disjoint origins share no written line through this lock. A
+/// writer claims the writer word, then waits until every slot reads zero.
+///
+/// Writers are preferred: a reader that finds the writer word claimed backs
+/// out of its slot and sleeps until the writer is gone, so waves holding the
+/// lock shared cannot starve a structural change. A reentrant reader never
+/// reaches the slot lock and so never waits behind that writer. Sleepers
+/// block in `std::atomic::wait`; a release wakes them only when the writer
+/// word records that someone sleeps.
 ///
 /// Upgrading (requesting exclusive while holding only shared) would wait for
 /// the caller's own read to drain, forever. `lock()` reports the attempt
@@ -23,14 +33,19 @@
 ///
 /// The class is a Clang Thread Safety capability and reports acquisitions to
 /// the lockdep-style lock-order validator; construct it with a class name
-/// and rank (lock_order.h) to participate in hierarchy checking.
+/// and rank (lock_order.h) to participate in hierarchy checking. Under
+/// ThreadSanitizer it annotates the slot lock as a mutex, read-locked on the
+/// shared side, so TSan's race and deadlock detectors see a reader-writer
+/// lock rather than bare atomics.
 
 #pragma once
 
-#include <pthread.h>
+#include <atomic>
+#include <cstdint>
 
 #include "common/lock_order.h"
 #include "common/thread_annotations.h"
+#include "common/thread_slot.h"
 
 namespace pipes {
 
@@ -57,8 +72,27 @@ class PIPES_CAPABILITY("ReentrantSharedMutex") ReentrantSharedMutex {
   void unlock_shared() PIPES_RELEASE_SHARED();
 
  private:
-  pthread_rwlock_t rw_;
+  /// Bits of `writer_`.
+  static constexpr uint32_t kWriter = 1;        ///< claimed by a writer
+  static constexpr uint32_t kSleepers = 2;      ///< threads sleep on writer_
+  static constexpr uint32_t kDrainSleeper = 4;  ///< the writer sleeps on a slot
+
+  /// The slot lock: a thread's outermost acquisition and final release.
+  void AcquireExclusive();
+  void ReleaseExclusive();
+  void AcquireShared();
+  void ReleaseShared(std::atomic<uint32_t>& slot);
+  /// Sleeps until the writer word, last read as `w`, has no writer.
+  void WaitWhileWriter(uint32_t w);
+
+  struct alignas(64) ReaderSlot {
+    std::atomic<uint32_t> readers{0};
+  };
+
+  /// Written only by writers and sleepers; first-level readers just read it.
+  alignas(64) std::atomic<uint32_t> writer_{0};
   const lockorder::LockClass* cls_;
+  ReaderSlot slots_[kThreadSlots];
 };
 
 /// RAII shared lock.

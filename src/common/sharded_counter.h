@@ -4,8 +4,9 @@
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
+
+#include "common/thread_slot.h"
 
 namespace pipes {
 
@@ -20,7 +21,7 @@ class ShardedCounter {
   void Increment() { Add(1); }
 
   void Add(uint64_t n) {
-    stripes_[ThreadStripe()].v.fetch_add(n, std::memory_order_relaxed);
+    stripes_[ThreadSlot()].v.fetch_add(n, std::memory_order_relaxed);
   }
 
   uint64_t Value() const {
@@ -32,20 +33,10 @@ class ShardedCounter {
   }
 
  private:
-  static constexpr size_t kStripes = 8;
-
-  /// Threads get a stripe from a cheap monotone id; collisions only cost
-  /// some sharing, never correctness.
-  static size_t ThreadStripe() {
-    static std::atomic<size_t> next{0};
-    thread_local size_t id = next.fetch_add(1, std::memory_order_relaxed);
-    return id & (kStripes - 1);
-  }
-
   struct alignas(64) Stripe {
     std::atomic<uint64_t> v{0};
   };
-  Stripe stripes_[kStripes];
+  Stripe stripes_[kThreadSlots];
 };
 
 }  // namespace pipes

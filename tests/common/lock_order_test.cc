@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -146,6 +149,45 @@ TEST_F(LockOrderTest, SelfDeadlockOnNonReentrantClass) {
   auto self = ViolationsOfKind(LockOrderViolation::Kind::kSelfDeadlock);
   ASSERT_EQ(self.size(), 1u);
   EXPECT_NE(self[0].message.find("test.self.M"), std::string::npos);
+}
+
+TEST_F(LockOrderTest, TwoThreadsRegisteringOneNameGetOneClass) {
+  // Both threads race to intern one name, then keep registering it from
+  // their own caches; the first registration (and its rank) wins for both.
+  const lockorder::LockClass* got[2] = {nullptr, nullptr};
+  std::atomic<int> ready{0};
+  auto register_many = [&](int t, int rank) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) {
+    }
+    got[t] = lockorder::RegisterLockClass("test.intern.M", rank);
+    for (int i = 0; i < 1000; ++i) {
+      if (lockorder::RegisterLockClass("test.intern.M", rank) != got[t]) {
+        got[t] = nullptr;
+        return;
+      }
+    }
+  };
+  std::thread a(register_many, 0, 10);
+  std::thread b(register_many, 1, 20);
+  a.join();
+  b.join();
+  ASSERT_NE(got[0], nullptr);
+  EXPECT_EQ(got[0], got[1]);
+  const int rank = lockorder::LockClassRank(got[0]);
+  EXPECT_TRUE(rank == 10 || rank == 20) << rank;
+
+  // The name, not the buffer holding it, picks the class: a copy finds the
+  // same class, and a reused buffer holding another name does not.
+  std::string copy = "test.intern.M";
+  EXPECT_EQ(lockorder::RegisterLockClass(copy.c_str(), 30), got[0]);
+  EXPECT_EQ(lockorder::LockClassRank(got[0]), rank);
+  char buf[32] = "test.intern.A";
+  const auto* first = lockorder::RegisterLockClass(buf);
+  std::strcpy(buf, "test.intern.B");
+  const auto* second = lockorder::RegisterLockClass(buf);
+  EXPECT_NE(first, second);
+  EXPECT_STREQ(lockorder::LockClassName(second), "test.intern.B");
 }
 
 TEST_F(LockOrderTest, SiblingInstancesOfOneClassDoNotFormEdges) {
