@@ -322,7 +322,6 @@ DegradeResult RunDegradation() {
   gov.ticks_to_pressure = 1;
   gov.ticks_to_brownout = 2;
   gov.brownout_factor = 16.0;
-  gov.default_staleness_factor = 8.0;
   manager.EnableOverloadControl(gov);
 
   DegradeResult r;

@@ -12,6 +12,7 @@
 /// changing items and wins on freshness always; periodic only catches up on
 /// cost when changes outpace the polling rate.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -371,12 +372,12 @@ void RunParallelWaves(bool quick) {
   }
 
   const uint64_t waves_per_driver = quick ? 20000 : 100000;
-  // Scheduling noise on shared hosts dwarfs the effect under test, so each
-  // configuration reports its best of `reps` runs (the run least perturbed
-  // by preemption).
-  const int reps = quick ? 1 : 3;
+  // Scheduling noise on shared hosts is as large as the effect under test,
+  // so each configuration runs kReps times and reports its median run, with
+  // the min-max of waves/s beside it; "scaling vs 1" divides medians.
+  constexpr int kReps = 3;
   TablePrinter table({"mode", "drivers", "waves", "ns/wave", "waves/s",
-                      "allocs/wave", "scaling vs 1"});
+                      "min-max waves/s", "allocs/wave", "scaling vs 1"});
   std::string json =
       "{\n  \"bench\": \"scale_triggered parallel waves\",\n"
       "  \"metric\": \"aggregate concurrent propagation-wave throughput "
@@ -384,21 +385,27 @@ void RunParallelWaves(bool quick) {
   char head[256];
   std::snprintf(head, sizeof(head),
                 "  \"hardware_concurrency\": %u,\n"
-                "  \"origins\": %d,\n  \"depth\": %d,\n  \"results\": [\n",
-                hc, kParOrigins, kParDepth);
+                "  \"origins\": %d,\n  \"depth\": %d,\n"
+                "  \"reps\": %d,\n  \"statistic\": \"median\",\n"
+                "  \"results\": [\n",
+                hc, kParOrigins, kParDepth, kReps);
   json += head;
   bool first = true;
   for (const char* mode : {"single_origin", "disjoint", "overlapping"}) {
     double base_waves_per_sec = 0.0;
     for (int drivers : {1, 2, 4, 8}) {
       if (std::strcmp(mode, "single_origin") == 0 && drivers > 1) continue;
-      ParallelResult r = MeasureParallelWaves(drivers, mode,
-                                              waves_per_driver);
-      for (int rep = 1; rep < reps; ++rep) {
-        ParallelResult again = MeasureParallelWaves(drivers, mode,
-                                                    waves_per_driver);
-        if (again.waves_per_sec > r.waves_per_sec) r = again;
+      std::vector<ParallelResult> runs;
+      for (int rep = 0; rep < kReps; ++rep) {
+        runs.push_back(MeasureParallelWaves(drivers, mode, waves_per_driver));
       }
+      std::sort(runs.begin(), runs.end(),
+                [](const ParallelResult& a, const ParallelResult& b) {
+                  return a.waves_per_sec < b.waves_per_sec;
+                });
+      const ParallelResult& r = runs[runs.size() / 2];
+      const double min_waves_per_sec = runs.front().waves_per_sec;
+      const double max_waves_per_sec = runs.back().waves_per_sec;
       if (drivers == 1) base_waves_per_sec = r.waves_per_sec;
       double scaling = base_waves_per_sec > 0.0
                            ? r.waves_per_sec / base_waves_per_sec
@@ -407,6 +414,8 @@ void RunParallelWaves(bool quick) {
                     TablePrinter::Fmt(r.waves),
                     TablePrinter::Fmt(r.ns_per_wave, 0),
                     TablePrinter::Fmt(r.waves_per_sec, 0),
+                    TablePrinter::Fmt(min_waves_per_sec, 0) + "-" +
+                        TablePrinter::Fmt(max_waves_per_sec, 0),
                     r.allocs_per_wave < 0
                         ? "n/a"
                         : TablePrinter::Fmt(r.allocs_per_wave, 3),
@@ -416,10 +425,11 @@ void RunParallelWaves(bool quick) {
           buf, sizeof(buf),
           "%s    {\"mode\": \"%s\", \"drivers\": %d, \"waves\": %llu, "
           "\"ns_per_wave\": %.1f, \"waves_per_sec\": %.0f, "
+          "\"waves_per_sec_min\": %.0f, \"waves_per_sec_max\": %.0f, "
           "\"allocs_per_wave\": %.3f, \"scaling_vs_1\": %.2f}",
           first ? "" : ",\n", r.mode, r.drivers,
           (unsigned long long)r.waves, r.ns_per_wave, r.waves_per_sec,
-          r.allocs_per_wave, scaling);
+          min_waves_per_sec, max_waves_per_sec, r.allocs_per_wave, scaling);
       json += buf;
       first = false;
     }

@@ -82,9 +82,10 @@ inline constexpr int kRankMetadataStructure = 200; ///< MetadataManager::structu
 inline constexpr int kRankDurabilityProviders = 250;
 inline constexpr int kRankOperatorState = 300;     ///< MetadataProvider::state_mu
 /// MetadataManager::pressure_mu — the overload-control (brownout) governor
-/// state. Taken under the exclusive structure lock (periodic-handler
-/// registration in Instantiate, deregistration in MaybeRemove) and held
-/// while stretching handler cadences (handler period locks, scheduler locks).
+/// state. Taken under the structure lock: exclusive when Instantiate
+/// registers a periodic handler, shared when a governor tick walks them.
+/// Held while stretching handler cadences (handler period locks, scheduler
+/// locks).
 inline constexpr int kRankPressureControl = 360;
 /// MetadataHandler::eval_mu — the handler's one lock: serializes evaluation,
 /// value publication with its journal append, and the health state machine.

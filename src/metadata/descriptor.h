@@ -270,7 +270,8 @@ class MetadataDescriptor {
   /// factor; the stretched period never exceeds this bound, so the item's
   /// observed staleness stays <= max_staleness no matter how deep the
   /// brownout. 0 (default) means "no explicit bound": the governor caps the
-  /// stretch at its default_staleness_factor x period instead.
+  /// stretch at PeriodicMetadataHandler::kDefaultStalenessFactor x period
+  /// instead.
   MetadataDescriptor&& WithMaxStaleness(Duration bound) &&;
 
   // Accessors -----------------------------------------------------------------

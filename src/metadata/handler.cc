@@ -117,13 +117,12 @@ void MetadataHandler::Retire() {
   // Cancel mechanism tasks so no periodic tick can reach the evaluator (and
   // through it the dying provider) after this point.
   Deactivate();
-  // Retirement changes what waves may touch (retired handlers are skipped),
-  // so cached wave plans through this handler must not be reused. The bump
-  // is a plain atomic increment — safe without the structure lock; at worst
-  // it over-invalidates and costs one plan rebuild.
-  manager_.BumpStructureEpoch();
+  // Cached wave plans stay valid: every edge stays in place until the last
+  // reference goes and MaybeRemove excludes the handler under the exclusive
+  // structure lock, and meanwhile EvaluateAndStore turns a wave's refresh of
+  // this handler into a read of its frozen value.
   // Journaled exactly once, while the owner is still alive (Retire is
-  // called from the owner's registry teardown or an explicit Undefine).
+  // called from the owner's registry teardown).
   manager_.JournalRetire(owner_, desc_->key());
 }
 
@@ -418,13 +417,12 @@ void PeriodicMetadataHandler::Reschedule(Duration new_period) {
       first);
 }
 
-Duration PeriodicMetadataHandler::ApplyDegradationFactor(
-    double factor, double default_cap_factor) {
+Duration PeriodicMetadataHandler::ApplyDegradationFactor(double factor) {
   const Duration base = period();
   Duration cap = desc_->max_staleness();
   if (cap <= 0) {
     cap = static_cast<Duration>(static_cast<double>(base) *
-                                std::max(1.0, default_cap_factor));
+                                kDefaultStalenessFactor);
   }
   cap = std::max(cap, base);
   Duration target = base;

@@ -117,6 +117,7 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
 
   /// Internal: detaches the handler from its provider ahead of provider
   /// destruction — cancels mechanism tasks and freezes the current value.
+  /// The handler keeps its graph edges until its last reference is dropped.
   /// Idempotent; called by MetadataRegistry::RetireAllHandlers().
   void Retire();
 
@@ -254,9 +255,9 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   ///
   /// `refresh` lists the triggered handlers of the affected closure in
   /// topological (dependencies-first) order. `epoch` is the manager's
-  /// structure epoch the plan was built at; a mismatch means the dependency
-  /// graph changed shape and the plan (including any raw pointers it holds)
-  /// must not be used. Immutable once published: a rebuild replaces the
+  /// structure epoch the plan was built at; a mismatch means a handler was
+  /// included or excluded since, and the plan (including any raw pointers
+  /// it holds) must not be used. Immutable once published: a rebuild replaces the
   /// whole plan, so a wave walks its own reference without a lock.
   struct WavePlan {
     uint64_t epoch = 0;
@@ -384,11 +385,15 @@ class PeriodicMetadataHandler final : public MetadataHandler {
   /// the manager's overload governor (see MetadataManager pressure states).
   ///
   /// Equal to period() when not degraded; never exceeds the descriptor's
-  /// max_staleness (or the governor's default cap) while degraded.
+  /// max_staleness (or kDefaultStalenessFactor x period) while degraded.
   Duration effective_period() const {
     Duration p = effective_period_.load(std::memory_order_acquire);
     return p > 0 ? p : period();
   }
+
+  /// Cap on a stretched cadence, as a multiple of the base period, for an
+  /// item declared without WithMaxStaleness.
+  static constexpr double kDefaultStalenessFactor = 8.0;
 
  private:
   friend class MetadataManager;
@@ -403,12 +408,12 @@ class PeriodicMetadataHandler final : public MetadataHandler {
   /// (factor <= 1) the refresh cadence.
   ///
   /// The stretched period is capped by the descriptor's max_staleness — or,
-  /// when that is 0, by default_cap_factor x period — so the item's
+  /// when that is 0, by kDefaultStalenessFactor x period — so the item's
   /// achievable staleness stays bounded however deep the brownout. Replaces
   /// the mechanism task only when the cadence actually changes (rare,
   /// hysteresis-gated transitions). No-op on retired or deactivated
   /// handlers. Returns the cadence now in effect.
-  Duration ApplyDegradationFactor(double factor, double default_cap_factor);
+  Duration ApplyDegradationFactor(double factor);
 
   /// Swaps the mechanism task for one firing every `new_period`, first fire
   /// one `new_period` from now.

@@ -180,7 +180,7 @@ Result<MetadataSubscription> MetadataManager::Subscribe(
   }
   // New handlers (and their dependent edges) change the graph shape: cached
   // wave plans must be rebuilt before the next wave.
-  if (!plan.empty()) BumpStructureEpoch();
+  if (!plan.empty()) ++structure_epoch_;
 
   std::shared_ptr<MetadataHandler> handler =
       provider.metadata_registry().GetHandler(key);
@@ -311,13 +311,12 @@ std::shared_ptr<MetadataHandler> MetadataManager::Instantiate(
   // the manager is already degraded starts degraded too, so a brownout
   // cannot be escaped by re-subscribing.
   if (entry.desc->mechanism() == UpdateMechanism::kPeriodic) {
+    auto* ph = static_cast<PeriodicMetadataHandler*>(handler.get());
+    periodic_handlers_.push_back(ph);
     MutexLock plock(pressure_mu_);
-    periodic_handlers_.push_back(handler);
     if (overload_enabled_ && current_factor_ > 1.0) {
-      auto* ph = static_cast<PeriodicMetadataHandler*>(handler.get());
       Duration before = ph->effective_period();
-      Duration after = ph->ApplyDegradationFactor(
-          current_factor_, overload_options_.default_staleness_factor);
+      Duration after = ph->ApplyDegradationFactor(current_factor_);
       if (after > before) {
         stats_period_stretches_.fetch_add(1, std::memory_order_relaxed);
         stats_stretched_now_.fetch_add(1, std::memory_order_relaxed);
@@ -378,17 +377,13 @@ void MetadataManager::MaybeRemove(
   // The handler leaves the graph: cached wave plans may hold raw pointers to
   // it, so invalidate them before the removal proceeds. The exclusive
   // structure lock keeps any concurrent wave out until we are done.
-  BumpStructureEpoch();
+  ++structure_epoch_;
 
   handler->Deactivate();
   if (handler->mechanism() == UpdateMechanism::kPeriodic) {
-    // The governor's list holds only included handlers; an entry left
-    // behind would pin its control block until the next pressure change.
-    MutexLock plock(pressure_mu_);
-    std::erase_if(periodic_handlers_,
-                  [&](const std::weak_ptr<MetadataHandler>& w) {
-                    return w.lock() == handler;
-                  });
+    // The governor walks raw pointers: the entry goes before the handler can.
+    std::erase(periodic_handlers_,
+               static_cast<PeriodicMetadataHandler*>(handler.get()));
   }
   // A retired handler's owner is gone (or going): its registry and the
   // monitoring hooks (which take the provider) must not be touched.
@@ -478,13 +473,9 @@ void MetadataManager::PropagateFrom(MetadataHandler& origin, Timestamp now) {
 void MetadataManager::RunWave(MetadataHandler& origin, Timestamp now) {
   // Fast path: on an unchanged graph, a wave is one epoch compare and a
   // linear walk over the cached flattened plan — no set, no map, no Kahn
-  // re-run, and zero heap allocations. Read the epoch *before* any rebuild
-  // so the stamp is conservative: a structural change racing with the
-  // rebuild (possible only for lock-free bumpers like handler retirement)
-  // makes the fresh plan look stale and costs one extra rebuild, never a
-  // stale walk. A nested wave finding a stale plan rebuilds it right here,
-  // like any other wave.
-  const uint64_t epoch = structure_epoch();
+  // re-run, and zero heap allocations. A nested wave finding a stale plan
+  // rebuilds it right here, like any other wave.
+  const uint64_t epoch = structure_epoch_;
   std::shared_ptr<const MetadataHandler::WavePlan> plan =
       origin.wave_plan_.load(std::memory_order_acquire);
   if (plan == nullptr || plan->epoch != epoch) {
@@ -693,6 +684,7 @@ void MetadataManager::EnableOverloadControl(const OverloadControlOptions& opts) 
 }
 
 void MetadataManager::DisableOverloadControl() {
+  SharedLock structure(structure_mu_);
   MutexLock lock(pressure_mu_);
   governor_task_.Cancel();
   if (!overload_enabled_) return;
@@ -713,6 +705,9 @@ void MetadataManager::SetPressureProbe(std::function<bool()> probe) {
 }
 
 void MetadataManager::GovernorTick() {
+  // The shared hold keeps the periodic list still; ranks nest as in
+  // Instantiate: structure, then pressure, then each handler's period lock.
+  SharedLock structure(structure_mu_);
   MutexLock lock(pressure_mu_);
   if (!overload_enabled_) return;
 
@@ -757,7 +752,7 @@ void MetadataManager::GovernorTick() {
       if (cur == PressureState::kNormal) {
         stats_pressure_enters_.fetch_add(1, std::memory_order_relaxed);
       }
-      current_factor_ = opt.pressured_factor;
+      current_factor_ = kPressuredStretchFactor;
       break;
     case PressureState::kBrownout:
       stats_brownout_enters_.fetch_add(1, std::memory_order_relaxed);
@@ -772,14 +767,11 @@ void MetadataManager::GovernorTick() {
 }
 
 void MetadataManager::ApplyPressureFactorLocked(double factor) {
-  const double cap = overload_options_.default_staleness_factor;
   uint64_t stretched = 0;
-  for (const std::weak_ptr<MetadataHandler>& weak : periodic_handlers_) {
-    std::shared_ptr<MetadataHandler> h = weak.lock();
-    if (h == nullptr || h->retired()) continue;
-    auto* ph = static_cast<PeriodicMetadataHandler*>(h.get());
+  for (PeriodicMetadataHandler* ph : periodic_handlers_) {
+    if (ph->retired()) continue;
     Duration before = ph->effective_period();
-    Duration after = ph->ApplyDegradationFactor(factor, cap);
+    Duration after = ph->ApplyDegradationFactor(factor);
     if (after > before) {
       stats_period_stretches_.fetch_add(1, std::memory_order_relaxed);
     } else if (after < before) {
@@ -837,13 +829,6 @@ MetadataManagerStats MetadataManager::stats() const {
     s.checkpoint_failures = ds.checkpoint_failures;
     s.durability_degraded = ds.degraded;
   }
-  s.last_recovery_duration =
-      stats_recovery_duration_.load(std::memory_order_relaxed);
-  s.values_recovered = stats_values_recovered_.load(std::memory_order_relaxed);
-  s.corrupt_records_skipped =
-      stats_corrupt_skipped_.load(std::memory_order_relaxed);
-  s.torn_bytes_truncated =
-      stats_torn_truncated_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -904,19 +889,7 @@ Result<RecoveryReport> MetadataManager::RecoverFrom(
     return Status::FailedPrecondition(
         "disable durability before recovering (recover first, then enable)");
   }
-  Result<RecoveryReport> result =
-      MetadataDurability::Recover(*this, dir, providers);
-  if (result.ok()) {
-    const RecoveryReport& r = result.value();
-    stats_recovery_duration_.store(r.recovery_duration,
-                                   std::memory_order_relaxed);
-    stats_values_recovered_.store(r.values_restored, std::memory_order_relaxed);
-    stats_corrupt_skipped_.store(r.corrupt_records_skipped,
-                                 std::memory_order_relaxed);
-    stats_torn_truncated_.store(r.torn_bytes_truncated,
-                                std::memory_order_relaxed);
-  }
-  return result;
+  return MetadataDurability::Recover(*this, dir, providers);
 }
 
 void MetadataManager::JournalDefine(const MetadataProvider& provider,
@@ -966,10 +939,6 @@ void MetadataManager::InjectRecoveredValue(MetadataHandler& handler,
                                            Timestamp ts) {
   MutexLock lock(handler.eval_mu_);
   handler.StoreValue(v, ts);
-}
-
-MetadataValue MetadataManager::LoadHandlerValue(const MetadataHandler& handler) {
-  return handler.LoadValue();
 }
 
 }  // namespace pipes

@@ -117,8 +117,8 @@ struct MetadataManagerStats {
   uint64_t breaker_trips = 0;      ///< origins converted to batch refresh
   uint64_t breakers_active = 0;    ///< origins currently batch-refreshing (gauge)
 
-  // Durability (journal/checkpoint/recovery; see EnableDurability and
-  // persistence.h). All zero while durability is off and no recovery ran.
+  // Durability (journal/checkpoint; see EnableDurability and
+  // persistence.h). All zero while durability is off.
   bool durability_enabled = false;
   uint64_t journal_records = 0;     ///< records appended to the journal
   uint64_t journal_bytes = 0;       ///< frame bytes appended
@@ -131,11 +131,8 @@ struct MetadataManagerStats {
   uint64_t checkpoint_failures = 0;     ///< failed CheckpointNow runs
   /// Latched true on the first journal/checkpoint IO failure: acknowledged
   /// mutations may no longer be durable (disk full, rotation failed, ...).
+  /// What a recovery rebuilt is in the RecoveryReport RecoverFrom returns.
   bool durability_degraded = false;
-  Duration last_recovery_duration = 0;   ///< set by RecoverFrom
-  uint64_t values_recovered = 0;         ///< set by RecoverFrom
-  uint64_t corrupt_records_skipped = 0;  ///< CRC-failed records at recovery
-  uint64_t torn_bytes_truncated = 0;     ///< torn journal tails removed
 };
 
 /// \brief Pressure state of the manager's overload governor — a brownout
@@ -158,14 +155,16 @@ enum class PressureState {
 /// Human-readable name of a pressure state.
 const char* PressureStateToString(PressureState s);
 
+/// Period-stretch factor the overload governor applies in kPressured.
+inline constexpr double kPressuredStretchFactor = 2.0;
+
 /// \brief Tuning of the overload governor (see
 /// MetadataManager::EnableOverloadControl).
 struct OverloadControlOptions {
   /// Cadence of the governor's pressure evaluation.
   Duration governor_period = 100 * kMicrosPerMilli;
-  /// Period-stretch factor applied in kPressured.
-  double pressured_factor = 2.0;
-  /// Period-stretch factor applied in kBrownout.
+  /// Period-stretch factor applied in kBrownout (kPressured applies
+  /// kPressuredStretchFactor).
   double brownout_factor = 4.0;
   /// Consecutive overloaded ticks in kNormal before entering kPressured.
   int ticks_to_pressure = 2;
@@ -174,9 +173,6 @@ struct OverloadControlOptions {
   /// Consecutive calm ticks before stepping one state toward kNormal
   /// (hysteresis: recovery is gradual, re-entry needs fresh evidence).
   int ticks_to_recover = 3;
-  /// Staleness cap for items without an explicit WithMaxStaleness bound:
-  /// the stretched period never exceeds this multiple of the base period.
-  double default_staleness_factor = 8.0;
 };
 
 /// \brief Tuning of triggered-wave storm damping (see
@@ -264,8 +260,8 @@ class MetadataManager {
   /// kNormal -> kPressured -> kBrownout state machine: under sustained
   /// pressure every periodic item's refresh cadence is stretched by the
   /// state's factor, bounded per item by its WithMaxStaleness declaration
-  /// (or default_staleness_factor x period), and restored the same way when
-  /// pressure clears. Off by default.
+  /// (or PeriodicMetadataHandler::kDefaultStalenessFactor x period), and
+  /// restored the same way when pressure clears. Off by default.
   ///@{
   void EnableOverloadControl(const OverloadControlOptions& opts = {});
   /// Cancels the governor and restores all cadences to their base periods.
@@ -370,7 +366,7 @@ class MetadataManager {
   /// it to extract the system's served state for comparison against its
   /// reference model without side effects.
   static MetadataValue PeekValue(const MetadataHandler& handler) {
-    return LoadHandlerValue(handler);
+    return handler.LoadValue();
   }
 
   /// Number of currently included items across all providers.
@@ -397,26 +393,13 @@ class MetadataManager {
   /// transition counters and the degraded/quarantined gauges.
   void CountHealthTransition(HandlerHealth from, HandlerHealth to);
 
-  /// \name Structure epoch (wave-plan cache invalidation)
-  ///
-  /// A monotonically increasing counter bumped by every structural change to
-  /// the dependency graph: inclusion, exclusion, handler retirement, and
-  /// dynamic-dependency redefinition in a provider's registry. Cached wave
-  /// plans (MetadataHandler::WavePlan) are stamped with the epoch they were
-  /// built at; PropagateFrom reuses a plan only when its stamp equals the
-  /// current epoch, so a stale plan — which may hold raw pointers to removed
-  /// handlers — is never walked. Bumping is a single relaxed atomic
-  /// increment: callers that cannot take the structure lock (retirement,
-  /// registry redefinition) may still bump, at worst over-invalidating one
-  /// cached plan.
-  ///@{
-  void BumpStructureEpoch() {
-    structure_epoch_.fetch_add(1, std::memory_order_release);
+  /// \brief Bench seam: invalidates every cached wave plan, so the next wave
+  /// from each origin rebuilds its plan. Takes the structure lock
+  /// exclusively, like every other writer of the epoch.
+  void BumpStructureEpoch() PIPES_EXCLUDES(structure_mu_) {
+    ExclusiveLock lock(structure_mu_);
+    ++structure_epoch_;
   }
-  uint64_t structure_epoch() const {
-    return structure_epoch_.load(std::memory_order_acquire);
-  }
-  ///@}
 
  private:
   friend class MetadataSubscription;
@@ -462,10 +445,10 @@ class MetadataManager {
   /// plan, rebuilds and publishes a fresh one when its epoch is stale, and
   /// refreshes the plan's handlers in order.
   ///
-  /// The walk holds its own reference to the plan, so a nested wave that
-  /// replaces the plan meanwhile cannot disturb it. The raw handler pointers
-  /// in the plan stay valid because removing a handler needs the structure
-  /// lock exclusively, which the caller's shared hold excludes.
+  /// The caller's shared hold keeps the epoch and the graph still from the
+  /// epoch load to the end of the walk: both change only under the exclusive
+  /// hold. So the raw handler pointers of a current plan stay valid, and
+  /// waves racing to rebuild one origin's stale plan store identical plans.
   void RunWave(MetadataHandler& origin, Timestamp now)
       PIPES_REQUIRES_SHARED(structure_mu_);
 
@@ -495,7 +478,8 @@ class MetadataManager {
 
   /// Applies `factor` to every registered periodic handler that is not
   /// retired and refreshes the stretched-items gauge.
-  void ApplyPressureFactorLocked(double factor) PIPES_REQUIRES(pressure_mu_);
+  void ApplyPressureFactorLocked(double factor) PIPES_REQUIRES(pressure_mu_)
+      PIPES_REQUIRES_SHARED(structure_mu_);
 
   /// Recovery-time value injection: publishes `v` with update time `ts` as
   /// `handler`'s last-known-good value without invoking its evaluator. Takes
@@ -503,19 +487,14 @@ class MetadataManager {
   void InjectRecoveredValue(MetadataHandler& handler, const MetadataValue& v,
                             Timestamp ts);
 
-  /// Checkpoint-time value read: the handler's stored value (lock-free slot
-  /// read; never invokes the evaluator, unlike Get()). Used by the
-  /// durability engine through its friendship with this class.
-  static MetadataValue LoadHandlerValue(const MetadataHandler& handler);
-
   /// \brief Builds a fresh wave plan for `origin`, stamped with `epoch`.
   ///
   /// Derives the affected closure (BFS over dependents through
   /// propagate-through handlers) and Kahn-orders its triggered handlers into
   /// the plan's refresh list, using only local scratch: two rebuilds of one
-  /// origin may race, and each returns a valid plan. The caller holds the
-  /// structure lock shared, so the graph cannot change shape underneath;
-  /// `epoch` was read before the rebuild, making the stamp conservative.
+  /// origin may race, and each returns the same plan. The caller holds the
+  /// structure lock shared, so neither the graph nor `epoch` can change
+  /// underneath.
   static std::shared_ptr<const MetadataHandler::WavePlan> RebuildWavePlan(
       MetadataHandler& origin, uint64_t epoch);
 
@@ -525,15 +504,25 @@ class MetadataManager {
   ReentrantSharedMutex structure_mu_{"MetadataManager::structure_mu",
                                      lockorder::kRankMetadataStructure};
 
-  /// Current structure epoch; see BumpStructureEpoch().
-  std::atomic<uint64_t> structure_epoch_{1};
+  /// Wave-plan cache invalidation: a plan (MetadataHandler::WavePlan) is
+  /// stamped with the epoch it was built at, and a wave reuses it only while
+  /// the stamps match. Only the two graph changes bump it, under the
+  /// exclusive hold: inclusion (Subscribe) and exclusion (MaybeRemove). A
+  /// redefinition touches only items that are not included, and a retired
+  /// handler keeps its edges until it is excluded, so neither bumps.
+  uint64_t structure_epoch_ PIPES_GUARDED_BY(structure_mu_) = 1;
+  /// Every included periodic handler, for cadence stretching: Instantiate
+  /// adds one and MaybeRemove drops it, both under the exclusive hold, so a
+  /// governor walk under the shared hold sees only live handlers.
+  std::vector<PeriodicMetadataHandler*> periodic_handlers_
+      PIPES_GUARDED_BY(structure_mu_);
 
   /// \name Overload-governor state
   ///
-  /// `pressure_mu_` ranks below every handler lock: it is taken under the
-  /// exclusive structure lock (periodic-handler registration in
-  /// Instantiate, deregistration in MaybeRemove) and held while stretching
-  /// handler cadences (handler period locks, scheduler locks).
+  /// `pressure_mu_` ranks below the structure lock and above every handler
+  /// lock: Instantiate takes it under the exclusive structure lock, governor
+  /// walks under the shared one, and it is held while stretching handler
+  /// cadences (handler period locks, scheduler locks).
   ///@{
   mutable Mutex pressure_mu_{"MetadataManager::pressure_mu",
                              lockorder::kRankPressureControl};
@@ -544,11 +533,6 @@ class MetadataManager {
   int hot_ticks_ PIPES_GUARDED_BY(pressure_mu_) = 0;
   int cool_ticks_ PIPES_GUARDED_BY(pressure_mu_) = 0;
   double current_factor_ PIPES_GUARDED_BY(pressure_mu_) = 1.0;
-  /// Every included periodic handler, for cadence stretching: Instantiate
-  /// adds one, MaybeRemove drops it on exclusion. Weak: the governor must
-  /// never extend handler lifetime past exclusion.
-  std::vector<std::weak_ptr<MetadataHandler>> periodic_handlers_
-      PIPES_GUARDED_BY(pressure_mu_);
   /// Atomic mirror of the machine state so pressure_state() is lock-free.
   std::atomic<int> pressure_state_{0};
   ///@}
@@ -615,10 +599,6 @@ class MetadataManager {
   std::vector<std::unique_ptr<MetadataDurability>> durability_graveyard_
       PIPES_GUARDED_BY(durability_admin_mu_);
   std::atomic<MetadataDurability*> durability_{nullptr};
-  std::atomic<Duration> stats_recovery_duration_{0};
-  std::atomic<uint64_t> stats_values_recovered_{0};
-  std::atomic<uint64_t> stats_corrupt_skipped_{0};
-  std::atomic<uint64_t> stats_torn_truncated_{0};
   ///@}
 };
 

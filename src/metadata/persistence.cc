@@ -200,6 +200,14 @@ bool DecodeDescriptorImage(RecordDecoder* dec, DescriptorImage* out) {
 
 namespace {
 
+/// Cadence of the group-commit flush task (kInterval policy).
+constexpr Duration kFsyncInterval = 10 * kMicrosPerMilli;
+/// Staged bytes that force an early flush under kInterval.
+constexpr size_t kGroupCommitBytes = 64 * 1024;
+/// Snapshot generations kept after a checkpoint: the newest plus the
+/// corruption fallback.
+constexpr int kSnapshotGenerationsKept = 2;
+
 std::string GenerationPath(const std::string& dir, const char* prefix,
                            uint64_t gen) {
   char buf[64];
@@ -313,10 +321,9 @@ Status MetadataDurability::Start() {
     current_generation_ = gen;
   }
 
-  if (config_.fsync_policy == FsyncPolicy::kInterval &&
-      config_.fsync_interval > 0) {
+  if (config_.fsync_policy == FsyncPolicy::kInterval) {
     flush_task_ = manager_.scheduler().SchedulePeriodic(
-        config_.fsync_interval, [this] { FlushJournal(true); });
+        kFsyncInterval, [this] { FlushJournal(true); });
   }
   if (config_.checkpoint_period > 0) {
     checkpoint_task_ = manager_.scheduler().SchedulePeriodic(
@@ -375,7 +382,7 @@ uint64_t MetadataDurability::AppendRecord(DurabilityRecordType type,
       FlushLocked(true);
       break;
     case FsyncPolicy::kInterval:
-      if (journal_->buffered_bytes() >= config_.group_commit_bytes) {
+      if (journal_->buffered_bytes() >= kGroupCommitBytes) {
         FlushLocked(true);
       }
       break;
@@ -588,7 +595,7 @@ Status MetadataDurability::CheckpointLocked(Timestamp t0) {
                                watermark, body);
           ++record_count;
         }
-        MetadataValue value = MetadataManager::LoadHandlerValue(*handler);
+        MetadataValue value = MetadataManager::PeekValue(*handler);
         Timestamp updated = handler->last_updated();
         if (!value.is_null() && updated != kTimestampNever) {
           RecordEncoder body;
@@ -635,12 +642,12 @@ Status MetadataDurability::CheckpointLocked(Timestamp t0) {
   }
   KillPoint("checkpoint.after_rotate");
 
-  // Prune: keep the newest `snapshot_generations_kept` snapshots, and every
+  // Prune: keep the newest kSnapshotGenerationsKept snapshots, and every
   // journal generation >= (oldest kept snapshot - 1). A snapshot's
   // stragglers — records with lsn > watermark appended between its gather
   // and the rotation — live in the *previous* journal generation, hence the
   // -1 horizon.
-  int keep = std::max(2, config_.snapshot_generations_kept);
+  constexpr int keep = kSnapshotGenerationsKept;
   std::vector<uint64_t> snapshots = ListGenerations(config_.dir, "snapshot");
   uint64_t min_kept_snapshot = new_gen;
   if (snapshots.size() > static_cast<size_t>(keep)) {
@@ -1000,7 +1007,7 @@ Result<RecoveryReport> MetadataDurability::Recover(
       std::shared_ptr<MetadataHandler> handler =
           provider->metadata_registry().GetHandler(key);
       if (handler == nullptr) continue;
-      if (!MetadataManager::LoadHandlerValue(*handler).is_null()) continue;
+      if (!MetadataManager::PeekValue(*handler).is_null()) continue;
       Timestamp ts = manager.clock().FromWallMicros(item.wall_ts);
       manager.InjectRecoveredValue(*handler, item.value, ts);
       report.values_restored += 1;

@@ -121,21 +121,19 @@ void EncodeDescriptorImage(RecordEncoder* enc, const DescriptorImage& img);
 bool DecodeDescriptorImage(RecordDecoder* dec, DescriptorImage* out);
 
 /// \brief Configuration of MetadataManager::EnableDurability.
+///
+/// Fixed in persistence.cc: under kInterval the group-commit flush runs
+/// every 10 ms, and 64 KiB of staged bytes force an early one; a checkpoint
+/// keeps the newest 2 snapshot generations (the newest plus the corruption
+/// fallback).
 struct DurabilityConfig {
   /// Directory holding journal-<gen> and snapshot-<gen> files. Created if
   /// missing.
   std::string dir;
   /// When journal appends reach disk (see FsyncPolicy).
   FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
-  /// Cadence of the group-commit flush task (kInterval policy).
-  Duration fsync_interval = 10 * kMicrosPerMilli;
   /// Cadence of automatic checkpoints. 0 = manual CheckpointNow() only.
   Duration checkpoint_period = 5 * kMicrosPerSecond;
-  /// Staged bytes that force an early flush under kInterval.
-  size_t group_commit_bytes = 64 * 1024;
-  /// Snapshot generations kept after a checkpoint (>= 2: the newest plus
-  /// the corruption fallback).
-  int snapshot_generations_kept = 2;
 };
 
 /// \brief Counters of the durability layer (merged into
@@ -159,7 +157,8 @@ struct DurabilityStats {
   bool degraded = false;
 };
 
-/// \brief What MetadataManager::RecoverFrom rebuilt.
+/// \brief What MetadataManager::RecoverFrom rebuilt — the one record of a
+/// recovery (MetadataManagerStats does not copy it).
 ///
 /// `subscriptions` holds the re-established external subscriptions (one per
 /// subscription committed before the crash); they are RAII — the caller owns

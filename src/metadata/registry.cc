@@ -11,12 +11,6 @@ void MetadataRegistry::AttachManager(MetadataManager* manager) {
   manager_.store(manager, std::memory_order_release);
 }
 
-void MetadataRegistry::BumpManagerEpoch() {
-  if (MetadataManager* m = manager_.load(std::memory_order_acquire)) {
-    m->BumpStructureEpoch();
-  }
-}
-
 void MetadataRegistry::JournalDefine(
     const std::shared_ptr<const MetadataDescriptor>& stored) {
   if (owner_ == nullptr) return;
@@ -55,57 +49,46 @@ Status MetadataRegistry::Define(MetadataDescriptor desc) {
 Status MetadataRegistry::Redefine(MetadataDescriptor desc) {
   PreRegisterForJournal();
   MetadataKey key = desc.key();
-  {
-    MutexLock lock(mu_);
-    auto it = descriptors_.find(key);
-    if (it == descriptors_.end()) {
-      return Status::NotFound("cannot redefine unknown metadata item: " + key);
-    }
-    if (handlers_.count(key) > 0) {
-      return Status::FailedPrecondition(
-          "cannot redefine currently included metadata item: " + key);
-    }
-    it->second = std::make_shared<const MetadataDescriptor>(std::move(desc));
-    // A redefinition journals as kDefine: replay applies records in LSN
-    // order, so the last definition wins — exactly the redefine semantics.
-    JournalDefine(it->second);
+  MutexLock lock(mu_);
+  auto it = descriptors_.find(key);
+  if (it == descriptors_.end()) {
+    return Status::NotFound("cannot redefine unknown metadata item: " + key);
   }
-  // The new definition may declare different dependencies: cached wave plans
-  // derived from the old shape must be rebuilt on the next wave.
-  BumpManagerEpoch();
+  if (handlers_.count(key) > 0) {
+    return Status::FailedPrecondition(
+        "cannot redefine currently included metadata item: " + key);
+  }
+  it->second = std::make_shared<const MetadataDescriptor>(std::move(desc));
+  // A redefinition journals as kDefine: replay applies records in LSN
+  // order, so the last definition wins — exactly the redefine semantics.
+  JournalDefine(it->second);
   return Status::OK();
 }
 
 Status MetadataRegistry::DefineOrRedefine(MetadataDescriptor desc) {
   PreRegisterForJournal();
   MetadataKey key = desc.key();
-  {
-    MutexLock lock(mu_);
-    if (handlers_.count(key) > 0) {
-      return Status::FailedPrecondition(
-          "cannot redefine currently included metadata item: " + key);
-    }
-    auto stored = std::make_shared<const MetadataDescriptor>(std::move(desc));
-    descriptors_[key] = stored;
-    JournalDefine(stored);
+  MutexLock lock(mu_);
+  if (handlers_.count(key) > 0) {
+    return Status::FailedPrecondition(
+        "cannot redefine currently included metadata item: " + key);
   }
-  BumpManagerEpoch();
+  auto stored = std::make_shared<const MetadataDescriptor>(std::move(desc));
+  descriptors_[key] = stored;
+  JournalDefine(stored);
   return Status::OK();
 }
 
 Status MetadataRegistry::Undefine(const MetadataKey& key) {
-  {
-    MutexLock lock(mu_);
-    if (handlers_.count(key) > 0) {
-      return Status::FailedPrecondition(
-          "cannot undefine currently included metadata item: " + key);
-    }
-    if (descriptors_.erase(key) == 0) {
-      return Status::NotFound("unknown metadata item: " + key);
-    }
-    JournalUndefine(key);
+  MutexLock lock(mu_);
+  if (handlers_.count(key) > 0) {
+    return Status::FailedPrecondition(
+        "cannot undefine currently included metadata item: " + key);
   }
-  BumpManagerEpoch();
+  if (descriptors_.erase(key) == 0) {
+    return Status::NotFound("unknown metadata item: " + key);
+  }
+  JournalUndefine(key);
   return Status::OK();
 }
 

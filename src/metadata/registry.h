@@ -82,9 +82,9 @@ class MetadataRegistry {
   void RemoveHandler(const MetadataKey& key);
 
   /// Ties this registry to the manager serving its provider's graph, so that
-  /// successful dynamic redefinitions (Redefine / DefineOrRedefine /
-  /// Undefine — the metadata-inheritance facility of §4.4.2) invalidate the
-  /// manager's cached wave plans via a structure-epoch bump. Called by
+  /// definition changes reach the manager's journal when durability is on.
+  /// Redefinitions need nothing else from it: they touch only items that
+  /// are not included, which no handler or wave plan refers to. Called by
   /// MetadataProvider::AttachMetadataManager; idempotent.
   void AttachManager(MetadataManager* manager);
 
@@ -101,9 +101,6 @@ class MetadataRegistry {
   void RetireAllHandlers();
 
  private:
-  /// Bumps the attached manager's structure epoch (no-op before attachment).
-  void BumpManagerEpoch();
-
   /// Journals a (re)definition / undefinition through the attached manager.
   /// Called *under* mu_, immediately after the map mutation, so the
   /// journal's LSN order matches the in-memory mutation order for
@@ -124,9 +121,8 @@ class MetadataRegistry {
       PIPES_GUARDED_BY(mu_);
   std::map<MetadataKey, std::shared_ptr<MetadataHandler>> handlers_
       PIPES_GUARDED_BY(mu_);
-  /// The manager of this provider's graph (nullptr until first inclusion or
-  /// explicit attachment). BumpStructureEpoch is a bare atomic increment, so
-  /// calling it under mu_ (rank 570) cannot violate the lock order.
+  /// The manager of this provider's graph, for the journal hooks (nullptr
+  /// until first inclusion or explicit attachment).
   std::atomic<MetadataManager*> manager_{nullptr};
   /// The owning provider (set once at construction, before concurrency).
   const MetadataProvider* owner_ = nullptr;

@@ -11,12 +11,25 @@ namespace pipes {
 
 namespace {
 
-/// Grows a backoff delay by `multiplier`, capped at `max`.
-Duration GrowBackoff(Duration current, double multiplier, Duration max) {
+/// Heartbeat periods without an ack after which the peer is degraded /
+/// quarantined.
+constexpr int kMissesToDegrade = 2;
+constexpr int kMissesToQuarantine = 4;
+/// Subscribe-request timeout before a retry is sent.
+constexpr Duration kRequestTimeout = 20 * kMicrosPerMilli;
+/// Retry/probe backoff: initial delay, growth factor, ceiling, and the ±
+/// jitter fraction applied to every delay.
+constexpr Duration kInitialBackoff = 10 * kMicrosPerMilli;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr Duration kMaxBackoff = kMicrosPerSecond;
+constexpr double kBackoffJitter = 0.2;
+
+/// Grows a backoff delay by kBackoffMultiplier, capped at kMaxBackoff.
+Duration GrowBackoff(Duration current) {
   if (current <= 0) return 1;
-  double next = static_cast<double>(current) * std::max(1.0, multiplier);
   return static_cast<Duration>(
-      std::min(next, static_cast<double>(std::max<Duration>(1, max))));
+      std::min(static_cast<double>(current) * kBackoffMultiplier,
+               static_cast<double>(kMaxBackoff)));
 }
 
 }  // namespace
@@ -39,7 +52,7 @@ RemoteMetadataProvider::RemoteMetadataProvider(std::string remote_label,
   {
     MutexLock lock(fed_mu_);
     last_ack_at_ = manager_.clock().Now();
-    probe_backoff_ = options_.initial_backoff;
+    probe_backoff_ = kInitialBackoff;
     heartbeat_task_ = manager_.scheduler().SchedulePeriodic(
         options_.heartbeat_period, [this] { HeartbeatTick(); });
   }
@@ -94,7 +107,7 @@ Status RemoteMetadataProvider::Mirror(const MetadataKey& key,
   m.key = key;
   m.topic = remote_label_ + "/" + key;
   m.max_staleness = max_staleness;
-  m.retry_backoff = options_.initial_backoff;
+  m.retry_backoff = kInitialBackoff;
   m.internal_sub = std::move(sub.value());
   SendSubscribeLocked(m);
   return Status::OK();
@@ -220,7 +233,7 @@ void RemoteMetadataProvider::HandleSubscribeAck(const net::Frame& frame,
     if (it == mirrors_.end()) return;
     MirrorState& m = it->second;
     m.retry_task.Cancel();
-    m.retry_backoff = options_.initial_backoff;
+    m.retry_backoff = kInitialBackoff;
     if (status != 0) {
       // Not exported (yet): stop the timeout retries; the staleness-driven
       // resync keeps re-asking at heartbeat cadence.
@@ -287,7 +300,7 @@ void RemoteMetadataProvider::SendSubscribeLocked(MirrorState& m) {
   f.seq = m.last_seen;  // the server resends only what is newer than this
   f.topic = m.topic;
   endpoint_.Send(f);  // best effort: the timeout retry covers a down link
-  Duration wait = options_.request_timeout + JitteredLocked(m.retry_backoff);
+  Duration wait = kRequestTimeout + JitteredLocked(m.retry_backoff);
   MetadataKey key = m.key;
   m.retry_task = manager_.scheduler().ScheduleAfter(
       wait, [this, key, attempt] { RetrySubscribe(key, attempt); });
@@ -302,8 +315,7 @@ void RemoteMetadataProvider::RetrySubscribe(const MetadataKey& key,
   MirrorState& m = it->second;
   if (!m.pending || m.attempt != attempt) return;
   ++stats_retries_;
-  m.retry_backoff = GrowBackoff(m.retry_backoff, options_.backoff_multiplier,
-                                options_.max_backoff);
+  m.retry_backoff = GrowBackoff(m.retry_backoff);
   SendSubscribeLocked(m);
 }
 
@@ -318,13 +330,13 @@ void RemoteMetadataProvider::NoteLinkAliveLocked(Timestamp now) {
   // answers with the current value only when something newer exists.
   ++stats_reconnects_;
   probe_task_.Cancel();
-  probe_backoff_ = options_.initial_backoff;
+  probe_backoff_ = kInitialBackoff;
   heartbeat_task_ = manager_.scheduler().SchedulePeriodic(
       options_.heartbeat_period, [this] { HeartbeatTick(); });
   for (auto& entry : mirrors_) {
     MirrorState& m = entry.second;
     ++m.resubscribes;
-    m.retry_backoff = options_.initial_backoff;
+    m.retry_backoff = kInitialBackoff;
     SendSubscribeLocked(m);
   }
 }
@@ -347,26 +359,25 @@ void RemoteMetadataProvider::HeartbeatTick() {
   if (closed_) return;
   Duration elapsed = now - last_ack_at_;
   if (health_ != HandlerHealth::kQuarantined &&
-      elapsed > options_.misses_to_quarantine * options_.heartbeat_period) {
+      elapsed > kMissesToQuarantine * options_.heartbeat_period) {
     // Breaker opens: stop heartbeating at cadence, probe with jittered
     // exponential backoff instead. Mirrors keep serving last-known-good.
     health_ = HandlerHealth::kQuarantined;
     heartbeat_task_.Cancel();
-    probe_backoff_ = options_.initial_backoff;
+    probe_backoff_ = kInitialBackoff;
     ScheduleProbeLocked();
     return;
   }
   if (health_ == HandlerHealth::kHealthy &&
-      elapsed > options_.misses_to_degrade * options_.heartbeat_period) {
+      elapsed > kMissesToDegrade * options_.heartbeat_period) {
     health_ = HandlerHealth::kDegraded;
     return;
   }
   if (health_ != HandlerHealth::kHealthy) return;
   // Staleness-triggered resync: silent message loss must not starve a
-  // bounded-staleness mirror, so an aging value re-fetches proactively.
-  Duration threshold = options_.resync_after > 0
-                           ? options_.resync_after
-                           : 2 * options_.heartbeat_period;
+  // bounded-staleness mirror, so a value older than two heartbeat periods
+  // re-fetches proactively.
+  const Duration threshold = 2 * options_.heartbeat_period;
   for (auto& entry : mirrors_) {
     MirrorState& m = entry.second;
     if (m.pending || m.max_staleness <= 0) continue;
@@ -394,8 +405,7 @@ void RemoteMetadataProvider::ProbeTick() {
 
   MutexLock lock(fed_mu_);
   if (closed_ || health_ != HandlerHealth::kQuarantined) return;
-  probe_backoff_ = GrowBackoff(probe_backoff_, options_.backoff_multiplier,
-                               options_.max_backoff);
+  probe_backoff_ = GrowBackoff(probe_backoff_);
   ScheduleProbeLocked();
 }
 
@@ -405,9 +415,9 @@ void RemoteMetadataProvider::ScheduleProbeLocked() {
 }
 
 Duration RemoteMetadataProvider::JitteredLocked(Duration d) {
-  double j = std::clamp(options_.backoff_jitter, 0.0, 1.0);
-  if (j <= 0.0 || d <= 0) return std::max<Duration>(d, 1);
-  double factor = rng_.UniformDouble(1.0 - j, 1.0 + j);
+  if (d <= 0) return 1;
+  double factor =
+      rng_.UniformDouble(1.0 - kBackoffJitter, 1.0 + kBackoffJitter);
   return std::max<Duration>(
       1, static_cast<Duration>(static_cast<double>(d) * factor));
 }

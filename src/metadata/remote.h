@@ -64,28 +64,19 @@ inline constexpr uint32_t kFrameHeartbeatAck = 5;  ///< seq echoed
 inline constexpr uint32_t kFrameUnsubscribe = 6;
 ///@}
 
-/// \brief Tuning of a RemoteMetadataProvider's failure detection and retry
-/// machinery. Defaults suit virtual-time tests (milliseconds).
+/// \brief Tuning of a RemoteMetadataProvider's failure detection. Defaults
+/// suit virtual-time tests (milliseconds).
+///
+/// The rest of the machinery is fixed in remote.cc, in units of these: the
+/// peer is degraded after 2 and quarantined after 4 heartbeat periods
+/// without an ack; a healthy mirror whose value is older than 2 heartbeat
+/// periods re-fetches; a subscribe request retries after 20 ms plus a
+/// backoff; and retry and probe backoffs start at 10 ms, double up to 1 s,
+/// and are jittered by ±20 % (decorrelates peers that quarantined on the
+/// same fault).
 struct FederationOptions {
   /// Heartbeat cadence while the peer is not quarantined.
   Duration heartbeat_period = 50 * kMicrosPerMilli;
-  /// Missed-heartbeat windows (multiples of heartbeat_period without an
-  /// ack) after which the peer is degraded / quarantined.
-  int misses_to_degrade = 2;
-  int misses_to_quarantine = 4;
-  /// Subscribe-request timeout before a retry is sent.
-  Duration request_timeout = 20 * kMicrosPerMilli;
-  /// Retry/probe backoff: initial delay, growth factor, ceiling, and the
-  /// ± jitter fraction applied to every delay (decorrelates peers that
-  /// quarantined on the same fault).
-  Duration initial_backoff = 10 * kMicrosPerMilli;
-  double backoff_multiplier = 2.0;
-  Duration max_backoff = kMicrosPerSecond;
-  double backoff_jitter = 0.2;
-  /// A healthy mirror whose value is older than this re-fetches on the next
-  /// heartbeat tick (bounds staleness under silent message loss).
-  /// 0 = 2 x heartbeat_period.
-  Duration resync_after = 0;
   /// Seed of the provider's private jitter RNG (deterministic tests).
   uint64_t rng_seed = 0xFEDBEEFULL;
 };
@@ -211,7 +202,7 @@ class RemoteMetadataProvider : public MetadataProvider {
   void ProbeTick();
   void ScheduleProbeLocked() PIPES_REQUIRES(fed_mu_);
 
-  /// `d` ± the configured jitter fraction (floor 1 µs).
+  /// `d` ± the jitter fraction (floor 1 µs).
   Duration JitteredLocked(Duration d) PIPES_REQUIRES(fed_mu_);
 
   MetadataManager& manager_;

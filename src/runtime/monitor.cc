@@ -4,104 +4,100 @@
 
 namespace pipes {
 
+namespace {
+
+/// "<provider label>.<key><suffix>" unless the caller named the series.
+std::string ItemSeries(std::string series_name,
+                       const MetadataProvider& provider,
+                       const MetadataKey& key, const char* suffix) {
+  if (!series_name.empty()) return series_name;
+  return provider.label() + "." + key + suffix;
+}
+
+}  // namespace
+
 MetadataMonitor::MetadataMonitor(MetadataManager& manager,
                                  TaskScheduler& scheduler)
     : manager_(manager), scheduler_(scheduler) {}
 
 MetadataMonitor::~MetadataMonitor() { StopSampling(); }
 
+// The item samplers hold the handler by raw pointer: the subscription stored
+// beside each sampler keeps it alive for as long as the sampler exists.
+
 Status MetadataMonitor::Watch(MetadataProvider& provider,
                               const MetadataKey& key,
                               std::string series_name) {
-  return WatchInternal(provider, key, std::move(series_name),
-                       SampleKind::kValue, "");
+  Result<MetadataSubscription> sub = manager_.Subscribe(provider, key);
+  if (!sub.ok()) return sub.status();
+  MetadataHandler* h = sub.value().handler().get();
+  return Insert(ItemSeries(std::move(series_name), provider, key, ""),
+                std::move(sub.value()),
+                [h](Timestamp) -> std::optional<double> {
+                  MetadataValue v = h->Get();
+                  if (v.is_null()) return std::nullopt;
+                  return v.AsDouble();
+                });
 }
 
 Status MetadataMonitor::WatchHealth(MetadataProvider& provider,
                                     const MetadataKey& key,
                                     std::string series_name) {
-  return WatchInternal(provider, key, std::move(series_name),
-                       SampleKind::kHealth, ":health");
+  Result<MetadataSubscription> sub = manager_.Subscribe(provider, key);
+  if (!sub.ok()) return sub.status();
+  MetadataHandler* h = sub.value().handler().get();
+  return Insert(ItemSeries(std::move(series_name), provider, key, ":health"),
+                std::move(sub.value()), [h](Timestamp) {
+                  return static_cast<double>(h->health());
+                });
 }
 
 Status MetadataMonitor::WatchStaleness(MetadataProvider& provider,
                                        const MetadataKey& key,
                                        std::string series_name) {
-  return WatchInternal(provider, key, std::move(series_name),
-                       SampleKind::kStaleness, ":staleness");
+  Result<MetadataSubscription> sub = manager_.Subscribe(provider, key);
+  if (!sub.ok()) return sub.status();
+  MetadataHandler* h = sub.value().handler().get();
+  return Insert(
+      ItemSeries(std::move(series_name), provider, key, ":staleness"),
+      std::move(sub.value()),
+      [h](Timestamp now) { return ToSeconds(h->staleness(now)); });
 }
 
 Status MetadataMonitor::WatchPressure(std::string series_name) {
   if (series_name.empty()) series_name = "metadata:pressure";
-  MutexLock lock(mu_);
-  if (watched_.count(series_name) > 0) {
-    return Status::AlreadyExists("series already watched: " + series_name);
-  }
-  Watched w;
-  w.kind = SampleKind::kPressure;
-  series_[series_name];  // ensure the series exists
-  watched_.emplace(std::move(series_name), std::move(w));
-  return Status::OK();
-}
-
-Status MetadataMonitor::WatchDurability(std::string series_name) {
-  if (series_name.empty()) series_name = "metadata:durability";
-  MutexLock lock(mu_);
-  if (watched_.count(series_name) > 0) {
-    return Status::AlreadyExists("series already watched: " + series_name);
-  }
-  Watched w;
-  w.kind = SampleKind::kDurability;
-  series_[series_name];  // ensure the series exists
-  watched_.emplace(std::move(series_name), std::move(w));
-  return Status::OK();
+  return Insert(std::move(series_name), MetadataSubscription(),
+                [this](Timestamp) {
+                  return static_cast<double>(manager_.pressure_state());
+                });
 }
 
 Status MetadataMonitor::WatchPeerHealth(RemoteMetadataProvider& remote,
                                         std::string series_name) {
-  return WatchPeer(remote, std::move(series_name), SampleKind::kPeerHealth,
-                   ":peer_health");
+  if (series_name.empty()) series_name = remote.remote_label() + ":peer_health";
+  return Insert(std::move(series_name), MetadataSubscription(),
+                [&remote](Timestamp) {
+                  return static_cast<double>(remote.health());
+                });
 }
 
 Status MetadataMonitor::WatchPeerLag(RemoteMetadataProvider& remote,
                                      std::string series_name) {
-  return WatchPeer(remote, std::move(series_name), SampleKind::kPeerLag,
-                   ":peer_lag");
+  if (series_name.empty()) series_name = remote.remote_label() + ":peer_lag";
+  return Insert(std::move(series_name), MetadataSubscription(),
+                [&remote](Timestamp now) { return ToSeconds(remote.lag(now)); });
 }
 
-Status MetadataMonitor::WatchPeer(RemoteMetadataProvider& remote,
-                                  std::string series_name, SampleKind kind,
-                                  const char* default_suffix) {
-  if (series_name.empty()) {
-    series_name = remote.remote_label() + default_suffix;
-  }
+Status MetadataMonitor::Insert(std::string series_name,
+                               MetadataSubscription subscription,
+                               Sampler sample) {
   MutexLock lock(mu_);
   if (watched_.count(series_name) > 0) {
     return Status::AlreadyExists("series already watched: " + series_name);
   }
-  Watched w;
-  w.kind = kind;
-  w.remote = &remote;
   series_[series_name];  // ensure the series exists
-  watched_.emplace(std::move(series_name), std::move(w));
-  return Status::OK();
-}
-
-Status MetadataMonitor::WatchInternal(MetadataProvider& provider,
-                                      const MetadataKey& key,
-                                      std::string series_name, SampleKind kind,
-                                      const char* default_suffix) {
-  if (series_name.empty()) {
-    series_name = provider.label() + "." + key + default_suffix;
-  }
-  Result<MetadataSubscription> sub = manager_.Subscribe(provider, key);
-  if (!sub.ok()) return sub.status();
-  MutexLock lock(mu_);
-  if (watched_.count(series_name) > 0) {
-    return Status::AlreadyExists("series already watched: " + series_name);
-  }
-  watched_.emplace(series_name, Watched{std::move(sub.value()), kind});
-  series_[series_name];  // ensure the series exists
+  watched_.emplace(std::move(series_name),
+                   Watched{std::move(subscription), std::move(sample)});
   return Status::OK();
 }
 
@@ -125,47 +121,8 @@ void MetadataMonitor::SampleOnce() {
   Timestamp now = scheduler_.clock().Now();
   MutexLock lock(mu_);
   for (auto& [name, watched] : watched_) {
-    switch (watched.kind) {
-      case SampleKind::kValue: {
-        MetadataValue v = watched.subscription.Get();
-        if (!v.is_null()) {
-          series_[name].Record(now, v.AsDouble());
-        }
-        break;
-      }
-      case SampleKind::kHealth: {
-        const auto& h = watched.subscription.handler();
-        if (h != nullptr) {
-          series_[name].Record(now, static_cast<double>(h->health()));
-        }
-        break;
-      }
-      case SampleKind::kStaleness: {
-        const auto& h = watched.subscription.handler();
-        if (h != nullptr) {
-          series_[name].Record(now, ToSeconds(h->staleness(now)));
-        }
-        break;
-      }
-      case SampleKind::kPressure: {
-        series_[name].Record(
-            now, static_cast<double>(manager_.pressure_state()));
-        break;
-      }
-      case SampleKind::kDurability: {
-        series_[name].Record(
-            now, static_cast<double>(manager_.stats().journal_records));
-        break;
-      }
-      case SampleKind::kPeerHealth: {
-        series_[name].Record(
-            now, static_cast<double>(watched.remote->health()));
-        break;
-      }
-      case SampleKind::kPeerLag: {
-        series_[name].Record(now, ToSeconds(watched.remote->lag(now)));
-        break;
-      }
+    if (std::optional<double> v = watched.sample(now)) {
+      series_[name].Record(now, *v);
     }
   }
 }

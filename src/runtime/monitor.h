@@ -5,9 +5,11 @@
 
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,10 @@
 namespace pipes {
 
 /// \brief Samples a set of subscribed metadata items into time series.
+///
+/// Every watched series is one sampler, a function of the sampling time
+/// stored next to the subscription (if any) that keeps its source included;
+/// SampleOnce calls each sampler and records what it returns.
 class MetadataMonitor {
  public:
   /// `manager` coordinates subscriptions; `scheduler` drives sampling.
@@ -53,11 +59,6 @@ class MetadataMonitor {
   /// provider or subscription — the manager itself is the source. Feeds the
   /// LoadShedder's pressure input in the runtime wiring.
   Status WatchPressure(std::string series_name = "metadata:pressure");
-
-  /// Records the manager's durability activity as a numeric series: the
-  /// total journal records appended so far (a monotone counter; flat while
-  /// durability is off). Needs no provider or subscription.
-  Status WatchDurability(std::string series_name = "metadata:durability");
 
   /// Records a federation peer link's circuit-breaker state as a numeric
   /// series (0 = healthy, 1 = degraded, 2 = quarantined). Default series
@@ -101,32 +102,19 @@ class MetadataMonitor {
   void ExportCsv(std::ostream& out) const;
 
  private:
-  /// What a watched series samples from its subscription's handler (or,
-  /// for kPressure, from the manager directly — no subscription; or, for
-  /// kPeer*, from a RemoteMetadataProvider's link state).
-  enum class SampleKind {
-    kValue,
-    kHealth,
-    kStaleness,
-    kPressure,
-    kDurability,
-    kPeerHealth,
-    kPeerLag,
-  };
+  /// Reads one sample at the given time; an empty result records nothing.
+  using Sampler = std::function<std::optional<double>(Timestamp)>;
 
   struct Watched {
+    /// Keeps the sampled item included; empty for a series read from the
+    /// manager or a peer link.
     MetadataSubscription subscription;
-    SampleKind kind = SampleKind::kValue;
-    /// Source for kPeerHealth / kPeerLag; not owned.
-    RemoteMetadataProvider* remote = nullptr;
+    Sampler sample;
   };
 
-  Status WatchPeer(RemoteMetadataProvider& remote, std::string series_name,
-                   SampleKind kind, const char* default_suffix);
-
-  Status WatchInternal(MetadataProvider& provider, const MetadataKey& key,
-                       std::string series_name, SampleKind kind,
-                       const char* default_suffix);
+  /// Adds `series_name` unless it is already watched.
+  Status Insert(std::string series_name, MetadataSubscription subscription,
+                Sampler sample);
 
   MetadataManager& manager_;
   TaskScheduler& scheduler_;

@@ -90,10 +90,4 @@ size_t QueuedRuntime::TotalQueuedElements() const {
   return total;
 }
 
-size_t QueuedRuntime::TotalQueuedBytes() const {
-  size_t total = 0;
-  for (Node* n : managed_) total += n->input_queue()->bytes();
-  return total;
-}
-
 }  // namespace pipes

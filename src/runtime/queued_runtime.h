@@ -103,9 +103,6 @@ class QueuedRuntime {
   /// Elements currently buffered across all managed queues.
   size_t TotalQueuedElements() const;
 
-  /// Bytes currently buffered across all managed queues.
-  size_t TotalQueuedBytes() const;
-
   /// Elements processed since construction.
   uint64_t total_processed() const { return processed_; }
 

@@ -140,46 +140,44 @@ StreamBuilder StreamBuilder::JoinOn(const StreamBuilder& other,
   if (st.ok()) st = g.Connect(*other.node_, *join);
   if (!st.ok()) return StreamBuilder(builder_, st);
 
-  if (builder_->auto_cost_model_) {
-    // Register the Figure 3 estimates where the plan shape supports them:
-    // both inputs are time windows directly over nodes that can carry a
-    // source-style rate estimate.
-    auto* lwin = dynamic_cast<TimeWindowOperator*>(node_.get());
-    auto* rwin = dynamic_cast<TimeWindowOperator*>(other.node_.get());
-    if (lwin != nullptr && rwin != nullptr) {
-      auto estimate_input = [](TimeWindowOperator* w) -> Node* {
-        return w->upstreams().empty() ? nullptr : w->upstreams()[0];
+  // Register the Figure 3 estimates where the plan shape supports them:
+  // both inputs are time windows directly over nodes that can carry a
+  // source-style rate estimate.
+  auto* lwin = dynamic_cast<TimeWindowOperator*>(node_.get());
+  auto* rwin = dynamic_cast<TimeWindowOperator*>(other.node_.get());
+  if (lwin != nullptr && rwin != nullptr) {
+    auto estimate_input = [](TimeWindowOperator* w) -> Node* {
+      return w->upstreams().empty() ? nullptr : w->upstreams()[0];
+    };
+    Node* lsrc = estimate_input(lwin);
+    Node* rsrc = estimate_input(rwin);
+    if (lsrc != nullptr && rsrc != nullptr) {
+      auto define_rate_estimate = [](Node* n) {
+        // Sources (and any rate-carrying node) estimate via the measured
+        // output rate; ignore AlreadyExists from shared subplans.
+        Status s = n->metadata_registry().Define(
+            MetadataDescriptor::Triggered(keys::kEstOutputRate)
+                .DependsOnSelf(keys::kOutputRate)
+                .WithEvaluator([](EvalContext& ctx) -> MetadataValue {
+                  return ctx.DepDouble(0);
+                })
+                .WithDescription(
+                    "estimated rate: tracks the measured output rate "
+                    "(triggered)"));
+        if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
+        return Status::OK();
       };
-      Node* lsrc = estimate_input(lwin);
-      Node* rsrc = estimate_input(rwin);
-      if (lsrc != nullptr && rsrc != nullptr) {
-        auto define_rate_estimate = [](Node* n) {
-          // Sources (and any rate-carrying node) estimate via the measured
-          // output rate; ignore AlreadyExists from shared subplans.
-          Status s = n->metadata_registry().Define(
-              MetadataDescriptor::Triggered(keys::kEstOutputRate)
-                  .DependsOnSelf(keys::kOutputRate)
-                  .WithEvaluator([](EvalContext& ctx) -> MetadataValue {
-                    return ctx.DepDouble(0);
-                  })
-                  .WithDescription(
-                      "estimated rate: tracks the measured output rate "
-                      "(triggered)"));
-          if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
-          return Status::OK();
-        };
-        Status cs = define_rate_estimate(lsrc);
-        if (cs.ok()) cs = define_rate_estimate(rsrc);
-        if (cs.ok()) cs = costmodel::RegisterWindowEstimates(*lwin);
-        if (cs.ok() && rwin != lwin) {
-          cs = costmodel::RegisterWindowEstimates(*rwin);
-        }
-        if (cs.ok()) {
-          cs = costmodel::RegisterJoinEstimates(*join, 1.0, /*adaptive=*/hash);
-        }
-        if (!cs.ok() && cs.code() != StatusCode::kAlreadyExists) {
-          return StreamBuilder(builder_, cs);
-        }
+      Status cs = define_rate_estimate(lsrc);
+      if (cs.ok()) cs = define_rate_estimate(rsrc);
+      if (cs.ok()) cs = costmodel::RegisterWindowEstimates(*lwin);
+      if (cs.ok() && rwin != lwin) {
+        cs = costmodel::RegisterWindowEstimates(*rwin);
+      }
+      if (cs.ok()) {
+        cs = costmodel::RegisterJoinEstimates(*join, 1.0, /*adaptive=*/hash);
+      }
+      if (!cs.ok() && cs.code() != StatusCode::kAlreadyExists) {
+        return StreamBuilder(builder_, cs);
       }
     }
   }

@@ -17,7 +17,7 @@
 /// \endcode
 ///
 /// Window joins built through the builder get the Figure 3 cost-model
-/// estimates registered automatically (disable via set_auto_cost_model).
+/// estimates registered automatically.
 
 #pragma once
 
@@ -122,9 +122,6 @@ class QueryBuilder {
   StreamBuilder FromSynthetic(const std::string& label, double rate_per_sec,
                               int64_t key_cardinality, uint64_t seed = 42);
 
-  /// Whether JoinOn auto-registers the window-join cost model (default on).
-  void set_auto_cost_model(bool on) { auto_cost_model_ = on; }
-
   StreamEngine& engine() { return engine_; }
 
   /// Fresh auto-generated label ("<prefix>_<n>").
@@ -139,7 +136,6 @@ class QueryBuilder {
   friend class StreamBuilder;
 
   StreamEngine& engine_;
-  bool auto_cost_model_ = true;
   int label_counter_ = 0;
   std::vector<std::shared_ptr<SourceNode>> sources_;
 };

@@ -396,10 +396,6 @@ TEST(DurabilityRecoveryTest, FullRoundTripRestoresEverything) {
   EXPECT_EQ(gauge_sub.value().GetDouble(), 3.25);
   EXPECT_NE(gauge_sub.value().handler()->health(), HandlerHealth::kHealthy);
   EXPECT_GE(gauge_sub.value().handler()->fault_count(), 1u);
-
-  auto stats = fx.manager.stats();
-  EXPECT_EQ(stats.values_recovered, 2u);
-  EXPECT_GE(stats.last_recovery_duration, 0);
 }
 
 TEST(DurabilityRecoveryTest, ApplicationRedefinitionWinsOverShell) {
@@ -652,7 +648,6 @@ TEST(DurabilityRecoveryTest, CorruptJournalRecordIsSkippedAndCounted) {
   auto rep = fx.manager.RecoverFrom(tmp.path, {&p});
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   EXPECT_EQ(rep.value().corrupt_records_skipped, 1u);
-  EXPECT_EQ(fx.manager.stats().corrupt_records_skipped, 1u);
 }
 
 TEST(DurabilityRecoveryTest, UnresolvedProviderLabelsAreReported) {

@@ -19,16 +19,15 @@ using testing::SimpleProvider;
 
 /// Governor options with an explicit, test-friendly shape: 100 ms ticks,
 /// 2 hot ticks to pressure, 2 more to brownout, 2 calm ticks per recovery
-/// step.
+/// step. The pressured factor (2) and the default staleness cap (8 x
+/// period) are fixed.
 OverloadControlOptions TestGovernor() {
   OverloadControlOptions opts;
   opts.governor_period = 100 * kMicrosPerMilli;
-  opts.pressured_factor = 2.0;
   opts.brownout_factor = 4.0;
   opts.ticks_to_pressure = 2;
   opts.ticks_to_brownout = 2;
   opts.ticks_to_recover = 2;
-  opts.default_staleness_factor = 8.0;
   return opts;
 }
 

@@ -1,7 +1,8 @@
 /// Cached wave plans and structure-epoch invalidation: steady-state waves
-/// reuse the per-origin flattened plan (zero heap allocations), and every
-/// structural change — inclusion, exclusion, retirement, dynamic
-/// redefinition — bumps the epoch so the next wave rebuilds.
+/// reuse the per-origin flattened plan (zero heap allocations), inclusion
+/// and exclusion bump the epoch so the next wave rebuilds, and changes that
+/// leave the graph's shape alone — redefining items that are not included,
+/// retiring a torn-down provider's handlers — keep the cached plans.
 
 #include <gtest/gtest.h>
 
@@ -39,16 +40,30 @@ TEST(WavePlanTest, SubscribeAndUnsubscribeBumpEpoch) {
   auto evals = std::make_shared<int>(0);
   ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
   ASSERT_TRUE(reg.Define(CountingTriggered("t1", {"base"}, evals)).ok());
+  ASSERT_TRUE(reg.Define(CountingTriggered("t2", {"base"}, evals)).ok());
 
-  uint64_t e0 = fx.manager.structure_epoch();
   auto sub = fx.manager.Subscribe(p, "t1");
   ASSERT_TRUE(sub.ok());
-  uint64_t e1 = fx.manager.structure_epoch();
-  EXPECT_GT(e1, e0) << "inclusion must invalidate cached wave plans";
+  fx.manager.FireEvent(p, "base");  // builds the plan
+  fx.manager.FireEvent(p, "base");
+  auto s0 = fx.manager.stats();
+  ASSERT_EQ(s0.wave_plan_rebuilds, 1u);
+  ASSERT_EQ(s0.wave_plan_hits, 1u);
 
-  sub.value().Reset();
-  uint64_t e2 = fx.manager.structure_epoch();
-  EXPECT_GT(e2, e1) << "exclusion must invalidate cached wave plans";
+  auto sub2 = fx.manager.Subscribe(p, "t2");
+  ASSERT_TRUE(sub2.ok());
+  fx.manager.FireEvent(p, "base");
+  auto s1 = fx.manager.stats();
+  EXPECT_EQ(s1.wave_plan_rebuilds, s0.wave_plan_rebuilds + 1)
+      << "inclusion must invalidate cached wave plans";
+  EXPECT_EQ(s1.wave_plan_hits, s0.wave_plan_hits);
+
+  sub2.value().Reset();
+  fx.manager.FireEvent(p, "base");
+  auto s2 = fx.manager.stats();
+  EXPECT_EQ(s2.wave_plan_rebuilds, s1.wave_plan_rebuilds + 1)
+      << "exclusion must invalidate cached wave plans";
+  EXPECT_EQ(s2.wave_plan_hits, s1.wave_plan_hits);
 }
 
 TEST(WavePlanTest, SteadyStateWavesHitTheCachedPlan) {
@@ -113,47 +128,124 @@ TEST(WavePlanTest, SubscribeBetweenWavesRebuildsPlan) {
   EXPECT_EQ(*late_evals, 0);
 }
 
-TEST(WavePlanTest, DynamicRedefinitionBumpsEpoch) {
+TEST(WavePlanTest, RedefiningItemsThatAreNotIncludedKeepsThePlan) {
+  // Redefine, DefineOrRedefine and Undefine refuse an included item, so no
+  // handler and no cached plan can refer to what they change: the next
+  // wave reuses the plan, and computes the right value through it.
   MetaFixture fx;
   SimpleProvider p("p");
   auto& reg = p.metadata_registry();
-  auto evals = std::make_shared<int>(0);
-  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
-  ASSERT_TRUE(reg.Define(CountingTriggered("t1", {"base"}, evals)).ok());
+  auto input = std::make_shared<double>(1.0);
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("base").WithEvaluator(
+                             [input](EvalContext&) {
+                               return MetadataValue(*input);
+                             }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("t1")
+                             .DependsOnSelf("base")
+                             .WithEvaluator([](EvalContext& ctx) {
+                               return MetadataValue(ctx.DepDouble(0) * 10);
+                             }))
+                  .ok());
   ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("spare").WithEvaluator(
                              [](EvalContext&) { return MetadataValue(0.0); }))
                   .ok());
 
-  // The registry only learns its manager on first inclusion.
   auto sub = fx.manager.Subscribe(p, "t1");
   ASSERT_TRUE(sub.ok());
+  fx.manager.FireEvent(p, "base");  // builds the plan
+  auto s0 = fx.manager.stats();
+  ASSERT_EQ(s0.wave_plan_rebuilds, 1u);
 
-  uint64_t e0 = fx.manager.structure_epoch();
   ASSERT_TRUE(reg.Redefine(MetadataDescriptor::OnDemand("spare").WithEvaluator(
                                [](EvalContext&) { return MetadataValue(1.0); }))
                   .ok());
-  uint64_t e1 = fx.manager.structure_epoch();
-  EXPECT_GT(e1, e0) << "Redefine must invalidate cached wave plans";
-
   ASSERT_TRUE(
       reg.DefineOrRedefine(MetadataDescriptor::Static("fresh", 2.0)).ok());
-  uint64_t e2 = fx.manager.structure_epoch();
-  EXPECT_GT(e2, e1) << "DefineOrRedefine must invalidate cached wave plans";
-
+  ASSERT_TRUE(
+      reg.DefineOrRedefine(MetadataDescriptor::Static("spare", 3.0)).ok());
   ASSERT_TRUE(reg.Undefine("fresh").ok());
-  uint64_t e3 = fx.manager.structure_epoch();
-  EXPECT_GT(e3, e2) << "Undefine must invalidate cached wave plans";
 
-  // And the next wave indeed rebuilds instead of hitting.
+  *input = 4.0;
   fx.manager.FireEvent(p, "base");
   auto s1 = fx.manager.stats();
-  ASSERT_TRUE(reg.Redefine(MetadataDescriptor::OnDemand("spare").WithEvaluator(
-                               [](EvalContext&) { return MetadataValue(2.0); }))
+  EXPECT_EQ(s1.wave_plan_hits, s0.wave_plan_hits + 1)
+      << "redefining items that are not included must keep the plan";
+  EXPECT_EQ(s1.wave_plan_rebuilds, s0.wave_plan_rebuilds);
+  EXPECT_EQ(sub.value().GetDouble(), 40.0);
+}
+
+TEST(WavePlanTest, ProviderTeardownKeepsOtherOriginsPlans) {
+  // Provider q's triggered item sits in the plan of p's origin, and its
+  // subscription outlives q. Retirement leaves every edge in place, so the
+  // next wave from p reuses the plan: the retired item serves its fallback
+  // and p's items converge on the new input.
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto q = std::make_unique<SimpleProvider>("q");
+  auto input = std::make_shared<double>(1.0);
+  ASSERT_TRUE(p.metadata_registry()
+                  .Define(MetadataDescriptor::OnDemand("src").WithEvaluator(
+                      [input](EvalContext&) { return MetadataValue(*input); }))
                   .ok());
-  fx.manager.FireEvent(p, "base");
+  ASSERT_TRUE(q->metadata_registry()
+                  .Define(MetadataDescriptor::Triggered("mid")
+                              .DependsOn({DependencySpec::Explicit(&p, "src")})
+                              .WithEvaluator([](EvalContext& ctx) {
+                                return MetadataValue(ctx.DepDouble(0) * 10);
+                              })
+                              .WithFallbackValue(-1.0))
+                  .ok());
+  ASSERT_TRUE(p.metadata_registry()
+                  .Define(MetadataDescriptor::Triggered("tail")
+                              .DependsOn({DependencySpec::Self("src"),
+                                          DependencySpec::Explicit(q.get(),
+                                                                   "mid")})
+                              .WithEvaluator([](EvalContext& ctx) {
+                                return MetadataValue(ctx.DepDouble(0) +
+                                                     ctx.DepDouble(1));
+                              }))
+                  .ok());
+  ASSERT_TRUE(p.metadata_registry()
+                  .Define(MetadataDescriptor::Triggered("echo")
+                              .DependsOnSelf("src")
+                              .WithEvaluator([](EvalContext& ctx) {
+                                return MetadataValue(ctx.DepDouble(0) * 2);
+                              }))
+                  .ok());
+
+  auto mid = fx.manager.Subscribe(*q, "mid");
+  auto tail = fx.manager.Subscribe(p, "tail");
+  auto echo = fx.manager.Subscribe(p, "echo");
+  ASSERT_TRUE(mid.ok());
+  ASSERT_TRUE(tail.ok());
+  ASSERT_TRUE(echo.ok());
+  fx.manager.FireEvent(p, "src");  // builds the plan: mid, tail, echo
+  ASSERT_EQ(tail.value().GetDouble(), 11.0);
+  auto s0 = fx.manager.stats();
+
+  q.reset();  // retires mid; its subscription and tail's edge keep it alive
+  ASSERT_TRUE(mid.value().handler()->retired());
+
+  *input = 2.0;
+  fx.manager.FireEvent(p, "src");
+  auto s1 = fx.manager.stats();
+  EXPECT_EQ(s1.wave_plan_hits, s0.wave_plan_hits + 1)
+      << "retiring a handler must keep the plans that walk it";
+  EXPECT_EQ(s1.wave_plan_rebuilds, s0.wave_plan_rebuilds);
+  EXPECT_EQ(mid.value().GetDouble(), -1.0);
+  EXPECT_EQ(tail.value().GetDouble(), 2.0 + -1.0);
+  EXPECT_EQ(echo.value().GetDouble(), 4.0);
+
+  // Dropping the last references excludes the retired handler, which does
+  // change the graph: the next wave rebuilds and still converges.
+  mid.value().Reset();
+  tail.value().Reset();
+  *input = 3.0;
+  fx.manager.FireEvent(p, "src");
   auto s2 = fx.manager.stats();
   EXPECT_EQ(s2.wave_plan_rebuilds, s1.wave_plan_rebuilds + 1);
-  EXPECT_EQ(s2.wave_plan_hits, s1.wave_plan_hits);
+  EXPECT_EQ(echo.value().GetDouble(), 6.0);
 }
 
 TEST(WavePlanTest, SteadyStateWaveIsAllocationFree) {

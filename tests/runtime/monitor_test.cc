@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 
+#include "net/loopback.h"
 #include "runtime/monitor.h"
 #include "stream/engine.h"
 #include "stream/sink.h"
@@ -95,6 +96,43 @@ TEST(MonitorTest, CsvExportContainsAllSeries) {
   EXPECT_NE(csv.find(",rate,"), std::string::npos);
   EXPECT_NE(csv.find(",count,"), std::string::npos);
   EXPECT_NE(csv.find("2,count,200"), std::string::npos);
+}
+
+TEST(MonitorTest, EveryWatchRecordsItsSeries) {
+  // One series from each Watch*: an item's value, health and staleness, the
+  // governor's pressure state, and a peer link's health and lag. Nobody
+  // serves the peer's end of the link, so no ack ever arrives: after 1.5 s
+  // the breaker is open and the lag is the whole run.
+  MonitorFixture fx;
+  net::LoopbackLink link(fx.engine.scheduler());
+  RemoteMetadataProvider peer("remote", fx.engine.metadata(), link.b());
+  ASSERT_TRUE(fx.monitor.Watch(*fx.src, keys::kOutputRate).ok());
+  ASSERT_TRUE(fx.monitor.WatchHealth(*fx.src, keys::kOutputRate).ok());
+  ASSERT_TRUE(fx.monitor.WatchStaleness(*fx.src, keys::kOutputRate).ok());
+  ASSERT_TRUE(fx.monitor.WatchPressure().ok());
+  ASSERT_TRUE(fx.monitor.WatchPeerHealth(peer).ok());
+  ASSERT_TRUE(fx.monitor.WatchPeerLag(peer).ok());
+  fx.src->Start();
+  fx.engine.RunFor(Millis(1500));
+  fx.monitor.SampleOnce();
+
+  for (const char* name :
+       {"src.output_rate", "src.output_rate:health",
+        "src.output_rate:staleness", "metadata:pressure", "remote:peer_health",
+        "remote:peer_lag"}) {
+    EXPECT_EQ(fx.monitor.series(name).size(), 1u) << name;
+  }
+  EXPECT_NEAR(fx.monitor.LastValue("src.output_rate"), 100.0, 1.0);
+  EXPECT_EQ(fx.monitor.LastValue("src.output_rate:health"), 0.0);
+  // The rate's window closed at 1 s.
+  EXPECT_NEAR(fx.monitor.LastValue("src.output_rate:staleness"), 0.5, 1e-6);
+  EXPECT_EQ(fx.monitor.LastValue("metadata:pressure"), 0.0);
+  EXPECT_EQ(fx.monitor.LastValue("remote:peer_health"), 2.0);
+  EXPECT_NEAR(fx.monitor.LastValue("remote:peer_lag"), 1.5, 1e-6);
+
+  // `peer` is destroyed before the monitor, so its series go first.
+  ASSERT_TRUE(fx.monitor.Unwatch("remote:peer_health").ok());
+  ASSERT_TRUE(fx.monitor.Unwatch("remote:peer_lag").ok());
 }
 
 TEST(MonitorTest, StopSamplingHalts) {
