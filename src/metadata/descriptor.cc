@@ -1,5 +1,7 @@
 #include "metadata/descriptor.h"
 
+#include <iterator>
+
 #include "metadata/provider.h"
 
 namespace pipes {
@@ -52,8 +54,13 @@ void MetadataDescriptor::AppendSpecs(std::vector<DependencySpec> specs) {
   resolver_ = [specs = std::move(specs_copy)](ResolutionContext& ctx) {
     std::vector<MetadataRef> out;
     for (const auto& spec : specs) {
-      auto resolved = ctx.ResolveSpec(spec);
-      out.insert(out.end(), resolved.begin(), resolved.end());
+      std::vector<MetadataRef> resolved = ctx.ResolveSpec(spec);
+      if (out.empty()) {
+        out = std::move(resolved);
+      } else {
+        out.insert(out.end(), std::make_move_iterator(resolved.begin()),
+                   std::make_move_iterator(resolved.end()));
+      }
     }
     return out;
   };

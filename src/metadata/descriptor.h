@@ -44,19 +44,6 @@ struct MetadataRef {
   }
 };
 
-/// Hash so refs can key unordered containers (inclusion planning uses these
-/// on its hot path). The boost-style combiner keeps provider and key bits
-/// spread across the word, where the previous multiply-xor left the low bits
-/// dominated by the pointer alignment.
-struct MetadataRefHash {
-  size_t operator()(const MetadataRef& r) const {
-    size_t h = std::hash<const void*>()(r.provider);
-    h ^= std::hash<std::string>()(r.key) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-    return h;
-  }
-};
-
 /// \brief Where a declared dependency points (paper §2.3).
 ///
 /// Intra-node dependencies use kSelf; inter-node dependencies use
@@ -238,10 +225,12 @@ class MetadataDescriptor {
   /// Replaces the whole dependency resolution with a dynamic resolver
   /// (paper §4.4.3). Overrides any DependsOn* specs.
   ///
-  /// Redefining an item to change its (dynamic) dependencies — via
-  /// MetadataRegistry::Redefine / DefineOrRedefine / Undefine — bumps the
-  /// attached manager's structure epoch, so propagation waves never reuse a
-  /// wave plan cached against the old dependency shape.
+  /// The resolver runs when the item is included, and its result holds
+  /// until the item is excluded. To change the dependencies, redefine the
+  /// item (MetadataRegistry::Redefine / DefineOrRedefine / Undefine) while
+  /// it is not included: those refuse an included item, so no handler or
+  /// cached wave plan refers to the old shape. The next inclusion resolves
+  /// anew and, like every inclusion, invalidates the cached wave plans.
   MetadataDescriptor&& WithDynamicDependencies(DependencyResolver resolver) &&;
 
   MetadataDescriptor&& WithEvaluator(Evaluator fn) &&;

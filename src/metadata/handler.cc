@@ -74,7 +74,6 @@ MetadataHandler::MetadataHandler(
 MetadataHandler::~MetadataHandler() = default;
 
 MetadataValue MetadataHandler::Get() {
-  access_count_.Increment();
   if (retired()) {
     // The provider is (being) torn down: neither the evaluator nor the
     // owner may be touched. Serve the declared fallback, else whatever was

@@ -17,7 +17,6 @@
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "common/scheduler.h"
-#include "common/sharded_counter.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "metadata/descriptor.h"
@@ -71,7 +70,7 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
 
   /// Returns the current metadata value (mechanism-specific: cached for
   /// static/periodic/triggered, computed on the spot for on-demand). Only
-  /// on-demand reads consult the clock.
+  /// on-demand reads consult the clock, and a cached read writes nothing.
   MetadataValue Get();
 
   /// Numeric convenience for Get().
@@ -128,7 +127,6 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
 
   /// \name Usage statistics (profiling, scale benches)
   ///@{
-  uint64_t access_count() const { return access_count_.Value(); }
   uint64_t update_count() const {
     return update_count_.load(std::memory_order_relaxed);
   }
@@ -259,7 +257,12 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   /// included or excluded since, and the plan (including any raw pointers
   /// it holds) must not be used. Immutable once published: a rebuild replaces the
   /// whole plan, so a wave walks its own reference without a lock.
-  struct WavePlan {
+  ///
+  /// Every wave from this origin writes the plan's shared_ptr count twice,
+  /// so make_shared gives the plan and its count a 128-byte block of their
+  /// own: packed next to another origin's plan, the count shared a line (or
+  /// an adjacent-line prefetch pair) with a wave driven from another thread.
+  struct alignas(128) WavePlan {
     uint64_t epoch = 0;
     std::vector<MetadataHandler*> refresh;
   };
@@ -338,9 +341,6 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   int external_refs_ = 0;  // pipes-analyze: unguarded(MetadataManager structure lock)
   int internal_refs_ = 0;  // pipes-analyze: unguarded(MetadataManager structure lock)
 
-  /// Sharded: Get() is the many-reader hot path and must not make all
-  /// consumers contend on one counter cache line.
-  ShardedCounter access_count_;
   /// Written under eval_mu_, so a relaxed load plus store suffices; atomic
   /// because their readers take no lock.
   std::atomic<uint64_t> update_count_{0};

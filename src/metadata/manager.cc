@@ -1,8 +1,13 @@
 #include "metadata/manager.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstddef>
+#include <memory_resource>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "metadata/persistence.h"
 
@@ -50,19 +55,71 @@ void MetadataSubscription::Reset() {
 
 namespace {
 
+/// A metadata reference whose key is borrowed. Inclusion planning keys its
+/// bookkeeping on views of refs that outlive it, so it copies no key.
+struct RefView {
+  const MetadataProvider* provider;
+  std::string_view key;
+
+  bool operator==(const RefView&) const = default;
+};
+
+RefView ViewOf(const MetadataRef& ref) { return RefView{ref.provider, ref.key}; }
+
+/// The boost-style combiner keeps provider and key bits spread across the
+/// word, where a plain multiply-xor leaves the low bits dominated by the
+/// pointer alignment.
+struct RefViewHash {
+  size_t operator()(const RefView& r) const {
+    size_t h = std::hash<const void*>()(r.provider);
+    h ^= std::hash<std::string_view>()(r.key) + 0x9e3779b97f4a7c15ULL +
+         (h << 6) + (h >> 2);
+    return h;
+  }
+};
+
+/// Where planning stands with an item it has visited: on the current
+/// depth-first path (meeting it again is a cycle), or planned.
+enum class PlanMark : uint8_t { kOnPath, kPlanned };
+using PlanMarks = std::pmr::unordered_map<RefView, PlanMark, RefViewHash>;
+
+/// Bytes of Subscribe's stack that planning draws from before it turns to
+/// the heap. A 9-item chain takes about 2 KiB, so closures of up to about
+/// 18 items plan without a heap allocation.
+constexpr size_t kPlanningArenaBytes = 4096;
+
+/// Drops repeated refs from a resolver's output, keeping the first of each
+/// in resolver order. Hashed rather than a quadratic scan, since wide
+/// resolvers (e.g. all-upstream fan-in at an aggregation point) can return
+/// hundreds of refs. The set borrows the keys of kept refs, which no longer
+/// move once kept.
+void DropDuplicates(std::vector<MetadataRef>* refs,
+                    std::pmr::memory_resource* arena) {
+  if (refs->size() < 2) return;
+  std::pmr::unordered_set<RefView, RefViewHash> seen(
+      refs->size(), RefViewHash(), std::equal_to<RefView>(), arena);
+  size_t kept = 0;
+  for (MetadataRef& ref : *refs) {
+    if (seen.contains(ViewOf(ref))) continue;
+    MetadataRef& slot = (*refs)[kept++];
+    if (&slot != &ref) slot = std::move(ref);
+    seen.insert(ViewOf(slot));
+  }
+  refs->erase(refs->begin() + static_cast<std::ptrdiff_t>(kept), refs->end());
+}
+
 class ResolutionContextImpl final : public ResolutionContext {
  public:
-  ResolutionContextImpl(
-      MetadataProvider& self,
-      const std::unordered_set<MetadataRef, MetadataRefHash>& planned)
-      : self_(self), planned_(planned) {}
+  ResolutionContextImpl(MetadataProvider& self, const PlanMarks& marks)
+      : self_(self), marks_(marks) {}
 
   MetadataProvider& self() const override { return self_; }
 
   bool IsIncluded(const MetadataRef& ref) const override {
     if (ref.provider == nullptr) return false;
     if (ref.provider->metadata_registry().IsIncluded(ref.key)) return true;
-    return planned_.count(ref) > 0;
+    auto it = marks_.find(ViewOf(ref));
+    return it != marks_.end() && it->second == PlanMark::kPlanned;
   }
 
   bool IsAvailable(const MetadataRef& ref) const override {
@@ -126,11 +183,25 @@ class ResolutionContextImpl final : public ResolutionContext {
 
  private:
   MetadataProvider& self_;
-  const std::unordered_set<MetadataRef, MetadataRefHash>& planned_;
+  const PlanMarks& marks_;
   mutable std::string error_;
 };
 
 }  // namespace
+
+/// Every container draws from `arena`, and every key is a view of a ref
+/// that stays put until Subscribe returns: the root, or an element of a
+/// planned item's `deps`, whose buffer moves into its PlanEntry whole. A
+/// resolver that re-enters Subscribe plans in an arena of its own.
+struct MetadataManager::Planning {
+  explicit Planning(std::pmr::memory_resource* arena_in)
+      : arena(arena_in), plan(arena_in), marks(arena_in) {}
+
+  std::pmr::memory_resource* arena;
+  /// The items to include, dependencies first.
+  std::pmr::vector<PlanEntry> plan;
+  PlanMarks marks;
+};
 
 // ---------------------------------------------------------------------------
 // MetadataManager
@@ -165,22 +236,22 @@ Result<MetadataSubscription> MetadataManager::Subscribe(
   ExclusiveLock lock(structure_mu_);
 
   // Phase 1: plan the inclusion closure (validates everything up front so
-  // the subscription is atomic).
-  std::vector<PlanEntry> plan;
-  std::unordered_set<MetadataRef, MetadataRefHash> planned;
-  std::unordered_set<MetadataRef, MetadataRefHash> in_path;
-  MetadataRef root{&provider, key};
-  Status st = PlanInclude(root, &plan, &planned, &in_path);
+  // the subscription is atomic). Its bookkeeping allocates from this frame.
+  const MetadataRef root{&provider, key};
+  std::byte arena_buffer[kPlanningArenaBytes];
+  std::pmr::monotonic_buffer_resource arena(arena_buffer, sizeof arena_buffer);
+  Planning planning(&arena);
+  Status st = PlanInclude(root, &planning);
   if (!st.ok()) return st;
 
   // Phase 2: instantiate handlers dependencies-first.
   Timestamp now = clock().Now();
-  for (const PlanEntry& entry : plan) {
+  for (const PlanEntry& entry : planning.plan) {
     Instantiate(entry, now);
   }
   // New handlers (and their dependent edges) change the graph shape: cached
   // wave plans must be rebuilt before the next wave.
-  if (!plan.empty()) ++structure_epoch_;
+  if (!planning.plan.empty()) ++structure_epoch_;
 
   std::shared_ptr<MetadataHandler> handler =
       provider.metadata_registry().GetHandler(key);
@@ -196,17 +267,19 @@ Result<MetadataSubscription> MetadataManager::Subscribe(
   return MetadataSubscription(this, std::move(handler));
 }
 
-Status MetadataManager::PlanInclude(
-    const MetadataRef& ref, std::vector<PlanEntry>* plan,
-    std::unordered_set<MetadataRef, MetadataRefHash>* planned,
-    std::unordered_set<MetadataRef, MetadataRefHash>* in_path) {
+Status MetadataManager::PlanInclude(const MetadataRef& ref,
+                                    Planning* planning) {
   if (ref.provider == nullptr) {
     return Status::InvalidArgument("metadata reference with null provider");
   }
   // "The traversal stops at items already provided." (§2.4)
   if (ref.provider->metadata_registry().IsIncluded(ref.key)) return Status::OK();
-  if (planned->count(ref) > 0) return Status::OK();
-  if (in_path->count(ref) > 0) {
+  // A failed plan is dropped whole, so an error leaves its marks behind.
+  auto [it, first_visit] =
+      planning->marks.try_emplace(ViewOf(ref), PlanMark::kOnPath);
+  PlanMark& mark = it->second;  // node-based: stays put as marks grow
+  if (!first_visit) {
+    if (mark == PlanMark::kPlanned) return Status::OK();
     return Status::CycleDetected("metadata dependency cycle through '" +
                                  ref.provider->label() + "." + ref.key + "'");
   }
@@ -217,42 +290,24 @@ Status MetadataManager::PlanInclude(
                             ref.provider->label() + "'");
   }
 
-  in_path->insert(ref);
-
   std::vector<MetadataRef> deps;
   if (desc->dependency_resolver()) {
-    ResolutionContextImpl ctx(*ref.provider, *planned);
+    ResolutionContextImpl ctx(*ref.provider, planning->marks);
     deps = desc->dependency_resolver()(ctx);
     if (!ctx.error().empty()) {
-      in_path->erase(ref);
       return Status::InvalidArgument("resolving dependencies of '" + ref.key +
                                      "': " + ctx.error());
     }
-    // De-duplicate while preserving resolver order: hashed membership test
-    // instead of a quadratic scan, since wide resolvers (e.g. all-upstream
-    // fan-in at an aggregation point) can return hundreds of refs.
-    std::unordered_set<MetadataRef, MetadataRefHash> seen;
-    seen.reserve(deps.size());
-    std::vector<MetadataRef> unique;
-    unique.reserve(deps.size());
-    for (const auto& d : deps) {
-      if (seen.insert(d).second) unique.push_back(d);
-    }
-    deps = std::move(unique);
+    DropDuplicates(&deps, planning->arena);
   }
 
   for (const MetadataRef& dep : deps) {
-    Status st = PlanInclude(dep, plan, planned, in_path);
-    if (!st.ok()) {
-      in_path->erase(ref);
-      return st;
-    }
+    Status st = PlanInclude(dep, planning);
+    if (!st.ok()) return st;
   }
 
-  in_path->erase(ref);
-  planned->insert(ref);
-  plan->push_back(PlanEntry{ref.provider, ref.key, std::move(desc),
-                            std::move(deps)});
+  mark = PlanMark::kPlanned;
+  planning->plan.push_back(PlanEntry{&ref, std::move(desc), std::move(deps)});
   return Status::OK();
 }
 
@@ -267,23 +322,26 @@ std::shared_ptr<MetadataHandler> MetadataManager::Instantiate(
     dep_handlers.push_back(std::move(h));
   }
 
+  MetadataProvider& provider = *entry.ref->provider;
+  // Not make_shared: a cancelled periodic task keeps its callback's weak_ptr
+  // until its due time, and a shared block would keep the whole handler.
   std::shared_ptr<MetadataHandler> handler;
   switch (entry.desc->mechanism()) {
     case UpdateMechanism::kStatic:
       handler = std::shared_ptr<MetadataHandler>(new StaticMetadataHandler(
-          *entry.provider, entry.desc, *this, std::move(dep_handlers)));
+          provider, entry.desc, *this, std::move(dep_handlers)));
       break;
     case UpdateMechanism::kOnDemand:
       handler = std::shared_ptr<MetadataHandler>(new OnDemandMetadataHandler(
-          *entry.provider, entry.desc, *this, std::move(dep_handlers)));
+          provider, entry.desc, *this, std::move(dep_handlers)));
       break;
     case UpdateMechanism::kPeriodic:
       handler = std::shared_ptr<MetadataHandler>(new PeriodicMetadataHandler(
-          *entry.provider, entry.desc, *this, std::move(dep_handlers)));
+          provider, entry.desc, *this, std::move(dep_handlers)));
       break;
     case UpdateMechanism::kTriggered:
       handler = std::shared_ptr<MetadataHandler>(new TriggeredMetadataHandler(
-          *entry.provider, entry.desc, *this, std::move(dep_handlers)));
+          provider, entry.desc, *this, std::move(dep_handlers)));
       break;
   }
 
@@ -295,15 +353,15 @@ std::shared_ptr<MetadataHandler> MetadataManager::Instantiate(
 
   // Providers learn their manager on first inclusion, so that
   // FireMetadataEvent works without explicit attachment.
-  if (entry.provider->metadata_manager() == nullptr) {
-    entry.provider->AttachMetadataManager(this);
+  if (provider.metadata_manager() == nullptr) {
+    provider.AttachMetadataManager(this);
   }
 
-  entry.provider->metadata_registry().AddHandler(entry.key, handler);
+  provider.metadata_registry().AddHandler(entry.ref->key, handler);
 
   // Activate the node-side monitoring code (paper §4.4.1), then the handler.
   if (entry.desc->activate_monitoring()) {
-    entry.desc->activate_monitoring()(*entry.provider);
+    entry.desc->activate_monitoring()(provider);
   }
   handler->Activate(now);
 
@@ -493,6 +551,88 @@ void MetadataManager::RunWave(MetadataHandler& origin, Timestamp now) {
   stats_wave_refreshes_.Add(plan->refresh.size());
 }
 
+namespace {
+
+/// \brief RebuildWavePlan's working memory, one per thread, kept across
+/// rebuilds so that a warm rebuild allocates only the plan it publishes.
+///
+/// The in-degree table maps each closure member to its Kahn in-degree by
+/// open addressing. Its slots carry the stamp of the rebuild that wrote
+/// them, so a rebuild starts with one increment instead of a clear.
+class WaveScratch {
+ public:
+  /// Starts a rebuild: empty closure, ready queue and table.
+  void Reset() {
+    closure.clear();
+    ready.clear();
+    if (++stamp_ == 0) {  // wrapped: no old slot may pass for current
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      stamp_ = 1;
+    }
+  }
+
+  /// Adds `h` to the closure, with in-degree 0, unless it is there already.
+  void Discover(MetadataHandler* h) {
+    if (2 * (closure.size() + 1) > slots_.size()) Grow();
+    Slot* slot = Probe(h);
+    if (slot->stamp == stamp_) return;
+    *slot = Slot{h, stamp_, 0};
+    closure.push_back(h);
+  }
+
+  /// `h`'s in-degree, or nullptr when `h` is outside the closure.
+  int* InDegree(MetadataHandler* h) {
+    if (slots_.empty()) return nullptr;
+    Slot* slot = Probe(h);
+    return slot->stamp == stamp_ ? &slot->indegree : nullptr;
+  }
+
+  /// Closure members in discovery order: the table's entries.
+  std::vector<MetadataHandler*> closure;
+  /// Kahn's ready queue, consumed by index.
+  std::vector<MetadataHandler*> ready;
+
+ private:
+  struct Slot {
+    MetadataHandler* handler = nullptr;
+    uint32_t stamp = 0;
+    int indegree = 0;
+  };
+
+  /// The slot holding `h` in this rebuild, else the free slot for it. The
+  /// table is at most half full, so the probe ends.
+  Slot* Probe(MetadataHandler* h) {
+    const size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the multiply spreads the aligned pointer's bits,
+    // the shift keeps the best-mixed high ones.
+    size_t i = (reinterpret_cast<uintptr_t>(h) * 0x9e3779b97f4a7c15ULL) >>
+               shift_;
+    for (;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.stamp != stamp_ || slot.handler == h) return &slot;
+    }
+  }
+
+  /// Doubles the table (16 slots at first) and re-homes this rebuild's
+  /// entries. Only a closure larger than any before on this thread gets here.
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, 2 * old.size()), Slot{});
+    shift_ = 64 - std::countr_zero(slots_.size());
+    for (const Slot& slot : old) {
+      if (slot.stamp == stamp_) *Probe(slot.handler) = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;  ///< power-of-two size, or empty
+  int shift_ = 0;            ///< 64 - log2(slots_.size()), set by Grow
+  uint32_t stamp_ = 0;
+};
+
+thread_local WaveScratch t_wave_scratch;
+
+}  // namespace
+
 std::shared_ptr<const MetadataHandler::WavePlan>
 MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
   // The caller's shared structure lock keeps every dependents list still:
@@ -501,23 +641,20 @@ MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
   // Collect the affected closure: dependents reachable through triggered and
   // on-demand handlers. Periodic handlers update on their own cadence and
   // static handlers never change, so the wave does not continue past them.
-  // `indegree` is both the closure's membership set and, below, Kahn's
-  // in-degree table.
-  std::vector<MetadataHandler*> closure;
-  std::unordered_map<MetadataHandler*, int> indegree;
-  auto discover = [&](MetadataHandler* d) {
-    if (indegree.emplace(d, 0).second) closure.push_back(d);
-  };
-  for (MetadataHandler* d : origin.dependents_) discover(d);
-  for (size_t i = 0; i < closure.size(); ++i) {
-    MetadataHandler* h = closure[i];
+  // The scratch table is both the closure's membership set and, below,
+  // Kahn's in-degree table.
+  WaveScratch& scratch = t_wave_scratch;
+  scratch.Reset();
+  for (MetadataHandler* d : origin.dependents_) scratch.Discover(d);
+  for (size_t i = 0; i < scratch.closure.size(); ++i) {
+    MetadataHandler* h = scratch.closure[i];
     if (!h->PropagatesThrough()) continue;
-    for (MetadataHandler* d : h->dependents_) discover(d);
+    for (MetadataHandler* d : h->dependents_) scratch.Discover(d);
   }
 
   auto plan = std::make_shared<MetadataHandler::WavePlan>();
   plan->epoch = epoch;
-  if (closure.empty()) return plan;
+  if (scratch.closure.empty()) return plan;
 
   // Order the closure topologically (dependencies-first): Kahn's algorithm
   // over the dependency edges restricted to the closure, with the ready
@@ -525,27 +662,28 @@ MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
   // determined by the inverted dependency graph" (§3.2.3); flattening only
   // the triggered handlers into the plan guarantees each refreshes at most
   // once per wave with all its affected inputs already up to date.
-  for (MetadataHandler* h : closure) {
-    int& deg = indegree[h];
+  size_t triggered = 0;
+  for (MetadataHandler* h : scratch.closure) {
+    int& deg = *scratch.InDegree(h);
     for (const auto& dep : h->dependencies()) {
-      if (indegree.count(dep.get()) > 0) ++deg;
+      if (scratch.InDegree(dep.get()) != nullptr) ++deg;
     }
+    if (deg == 0) scratch.ready.push_back(h);
+    if (h->mechanism() == UpdateMechanism::kTriggered) ++triggered;
   }
-  std::vector<MetadataHandler*> ready;
-  for (MetadataHandler* h : closure) {
-    if (indegree[h] == 0) ready.push_back(h);
-  }
-  for (size_t i = 0; i < ready.size(); ++i) {
-    MetadataHandler* h = ready[i];
+  plan->refresh.reserve(triggered);
+  for (size_t i = 0; i < scratch.ready.size(); ++i) {
+    MetadataHandler* h = scratch.ready[i];
     if (h->mechanism() == UpdateMechanism::kTriggered) {
       plan->refresh.push_back(h);
     }
     for (MetadataHandler* d : h->dependents_) {
-      auto it = indegree.find(d);
-      if (it != indegree.end() && --it->second == 0) ready.push_back(d);
+      int* deg = scratch.InDegree(d);
+      if (deg != nullptr && --*deg == 0) scratch.ready.push_back(d);
     }
   }
-  assert(ready.size() == closure.size() && "dependency cycle in propagation");
+  assert(scratch.ready.size() == scratch.closure.size() &&
+         "dependency cycle in propagation");
   return plan;
 }
 

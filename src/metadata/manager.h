@@ -15,8 +15,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/mutex.h"
@@ -409,19 +407,23 @@ class MetadataManager {
   /// recovery uses.
   friend class RemoteMetadataProvider;
 
+  /// One item of an inclusion plan. `ref` is the subscribed root or an
+  /// element of its dependent's `deps`; both stay put until Subscribe
+  /// returns.
   struct PlanEntry {
-    MetadataProvider* provider;
-    MetadataKey key;
+    const MetadataRef* ref;
     std::shared_ptr<const MetadataDescriptor> desc;
     std::vector<MetadataRef> deps;
   };
 
+  /// One Subscribe's planning state, drawn from an arena on its stack
+  /// (manager.cc).
+  struct Planning;
+
   /// Depth-first planning of the inclusion closure (cycle + existence
   /// checks); appends entries dependencies-first. Runs under the exclusive
   /// structure lock (machine-checked under Clang -Wthread-safety).
-  Status PlanInclude(const MetadataRef& ref, std::vector<PlanEntry>* plan,
-                     std::unordered_set<MetadataRef, MetadataRefHash>* planned,
-                     std::unordered_set<MetadataRef, MetadataRefHash>* in_path)
+  Status PlanInclude(const MetadataRef& ref, Planning* planning)
       PIPES_REQUIRES(structure_mu_);
 
   /// Creates the handler for one plan entry (dependencies already exist).
@@ -491,10 +493,12 @@ class MetadataManager {
   ///
   /// Derives the affected closure (BFS over dependents through
   /// propagate-through handlers) and Kahn-orders its triggered handlers into
-  /// the plan's refresh list, using only local scratch: two rebuilds of one
-  /// origin may race, and each returns the same plan. The caller holds the
-  /// structure lock shared, so neither the graph nor `epoch` can change
-  /// underneath.
+  /// the plan's refresh list. Its scratch is the calling thread's and keeps
+  /// its capacity, so a warm rebuild allocates only the plan: a rebuild runs
+  /// no evaluator and never re-enters itself, and two rebuilds of one origin
+  /// on different threads may race, each returning the same plan. The caller
+  /// holds the structure lock shared, so neither the graph nor `epoch` can
+  /// change underneath.
   static std::shared_ptr<const MetadataHandler::WavePlan> RebuildWavePlan(
       MetadataHandler& origin, uint64_t epoch);
 

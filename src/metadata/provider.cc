@@ -29,8 +29,9 @@ MetadataProvider::~MetadataProvider() {
 
 void MetadataProvider::AttachMetadataManager(MetadataManager* manager) {
   manager_.store(manager, std::memory_order_release);
-  // The registry bumps the manager's structure epoch on dynamic
-  // redefinitions, so cached wave plans never survive a dependency change.
+  // The registry journals definition changes through the manager. It needs
+  // it for nothing else: a redefinition refuses an included item, so no
+  // wave plan can refer to what it changes.
   registry_.AttachManager(manager);
   MutexLock lock(modules_mu_);
   for (auto& [name, module] : modules_) {

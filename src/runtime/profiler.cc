@@ -22,7 +22,7 @@ std::string SystemProfiler::DumpProvider(const MetadataProvider& provider,
       os << " included refs=" << handler->external_refs() << "+"
          << handler->internal_refs()
          << " value=" << handler->Get().ToString()
-         << " accesses=" << handler->access_count()
+         << " evals=" << handler->eval_count()
          << " updates=" << handler->update_count();
     } else {
       os << " available";

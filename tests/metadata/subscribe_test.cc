@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "common/alloc_counter.h"
 #include "metadata/handler.h"
 #include "test_support.h"
 
@@ -333,6 +337,89 @@ TEST(SubscribeTest, DuplicateDependencySpecsAreDeduplicated) {
   EXPECT_EQ(sub->Get().AsDouble(), 3.0);
   auto base = reg.GetHandler("base");
   EXPECT_EQ(base->internal_refs(), 1);
+}
+
+TEST(SubscribeTest, DuplicateRefsKeepResolverOrder) {
+  // Keys past the short-string buffer and keys inside it, so that the
+  // de-duplication is checked for both kinds of string move.
+  const std::vector<MetadataKey> keys = {"a_key_longer_than_sixteen", "b",
+                                         "c_key_longer_than_sixteen", "d"};
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(reg.Define(MetadataDescriptor::Static(keys[i], double(i))).ok());
+  }
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("sum")
+                             .WithDynamicDependencies([&](ResolutionContext& ctx) {
+                               std::vector<MetadataRef> refs;
+                               for (size_t i : {0, 1, 0, 2, 1, 3, 2, 0}) {
+                                 refs.push_back({&ctx.self(), keys[i]});
+                               }
+                               return refs;
+                             })
+                             .WithEvaluator([](EvalContext& ctx) {
+                               // Positional weights pin the order.
+                               double v = 0;
+                               for (size_t i = 0; i < ctx.dep_count(); ++i) {
+                                 v = v * 10 + ctx.Dep(i).AsDouble();
+                               }
+                               return MetadataValue(v);
+                             }))
+                  .ok());
+  auto sub = fx.manager.Subscribe(p, "sum");
+  ASSERT_TRUE(sub.ok());
+  ASSERT_EQ(sub->handler()->dependencies().size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(sub->handler()->dependencies()[i]->key(), keys[i]);
+    EXPECT_EQ(reg.GetHandler(keys[i])->internal_refs(), 1);
+  }
+  EXPECT_EQ(sub->Get().AsDouble(), 123.0);  // 0, 1, 2, 3 in resolver order
+}
+
+// A member aligned past the allocator's guarantee sends `new` through
+// aligned_alloc, about ten times the cost of malloc, on every inclusion.
+static_assert(alignof(StaticMetadataHandler) <= alignof(std::max_align_t));
+static_assert(alignof(OnDemandMetadataHandler) <= alignof(std::max_align_t));
+static_assert(alignof(PeriodicMetadataHandler) <= alignof(std::max_align_t));
+static_assert(alignof(TriggeredMetadataHandler) <= alignof(std::max_align_t));
+
+TEST(SubscribeTest, WarmChainInclusionAllocatesWhatTheHandlersKeep) {
+  if (!AllocCountingActive()) {
+    GTEST_SKIP() << "allocation counting disabled (sanitizer build)";
+  }
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
+  MetadataKey prev = "base";
+  for (int i = 0; i < 8; ++i) {
+    MetadataKey key = "t" + std::to_string(i);
+    ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered(key)
+                               .DependsOnSelf(prev)
+                               .WithEvaluator([](EvalContext& ctx) {
+                                 return ctx.Dep(0);
+                               }))
+                    .ok());
+    prev = key;
+  }
+  // Warm up: the first inclusion faults in the lock-order validator's and
+  // the registry's lasting state.
+  for (int i = 0; i < 2; ++i) {
+    auto sub = fx.manager.Subscribe(p, prev);
+    ASSERT_TRUE(sub.ok());
+  }
+
+  ScopedAllocCounter counter;
+  auto sub = fx.manager.Subscribe(p, prev);
+  const int64_t allocs = counter.delta();
+  ASSERT_TRUE(sub.ok());
+  ASSERT_EQ(fx.manager.active_handler_count(), 9u);
+  // What a handler keeps: itself, its shared_ptr control block, its
+  // dependency list, its dependency's dependents list and its registry
+  // entry. On top, each resolver returns a list. Planning's bookkeeping
+  // draws from an arena on Subscribe's stack.
+  EXPECT_LE(allocs, 9 * 6) << "allocations for a 9-handler inclusion";
 }
 
 }  // namespace

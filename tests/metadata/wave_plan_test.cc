@@ -33,6 +33,20 @@ MetadataDescriptor CountingTriggered(const MetadataKey& key,
       });
 }
 
+/// Defines static `base` and triggered t0..t7 on `p`, each over the one
+/// before, and returns the last key.
+MetadataKey DefineChainOfEight(SimpleProvider& p, std::shared_ptr<int> evals) {
+  auto& reg = p.metadata_registry();
+  EXPECT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
+  MetadataKey prev = "base";
+  for (int i = 0; i < 8; ++i) {
+    MetadataKey key = "t" + std::to_string(i);
+    EXPECT_TRUE(reg.Define(CountingTriggered(key, {prev}, evals)).ok());
+    prev = key;
+  }
+  return prev;
+}
+
 TEST(WavePlanTest, SubscribeAndUnsubscribeBumpEpoch) {
   MetaFixture fx;
   SimpleProvider p("p");
@@ -254,16 +268,8 @@ TEST(WavePlanTest, SteadyStateWaveIsAllocationFree) {
   }
   MetaFixture fx;
   SimpleProvider p("p");
-  auto& reg = p.metadata_registry();
   auto evals = std::make_shared<int>(0);
-  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
-  std::string prev = "base";
-  for (int i = 0; i < 8; ++i) {
-    std::string key = "t" + std::to_string(i);
-    ASSERT_TRUE(reg.Define(CountingTriggered(key, {prev}, evals)).ok());
-    prev = key;
-  }
-  auto sub = fx.manager.Subscribe(p, prev);
+  auto sub = fx.manager.Subscribe(p, DefineChainOfEight(p, evals));
   ASSERT_TRUE(sub.ok());
 
   // Warm up: builds the plan and faults in thread-local state of the
@@ -278,6 +284,36 @@ TEST(WavePlanTest, SteadyStateWaveIsAllocationFree) {
   auto s = fx.manager.stats();
   EXPECT_EQ(s.wave_plan_rebuilds, 1u);
   EXPECT_EQ(s.wave_plan_hits, 3u);
+}
+
+TEST(WavePlanTest, RebuildWaveAllocatesOnlyThePlan) {
+  if (!AllocCountingActive()) {
+    GTEST_SKIP() << "allocation counting disabled (sanitizer build)";
+  }
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto evals = std::make_shared<int>(0);
+  auto sub = fx.manager.Subscribe(p, DefineChainOfEight(p, evals));
+  ASSERT_TRUE(sub.ok());
+
+  // Warm up: the first rebuild on this thread sizes its rebuild scratch.
+  for (int i = 0; i < 2; ++i) {
+    fx.manager.BumpStructureEpoch();
+    fx.manager.FireEvent(p, "base");
+  }
+  const auto before = fx.manager.stats();
+  const int evals_before = *evals;
+
+  fx.manager.BumpStructureEpoch();
+  ScopedAllocCounter counter;
+  fx.manager.FireEvent(p, "base");
+  // The plan with its control block, and its refresh list.
+  EXPECT_LE(counter.delta(), 2) << "a rebuild wave allocates only its plan";
+
+  const auto after = fx.manager.stats();
+  EXPECT_EQ(after.wave_plan_rebuilds, before.wave_plan_rebuilds + 1);
+  EXPECT_EQ(after.wave_refreshes, before.wave_refreshes + 8);
+  EXPECT_EQ(*evals, evals_before + 8);
 }
 
 TEST(WavePlanTest, IndependentOriginsCacheIndependentPlans) {
