@@ -4,16 +4,7 @@
 #include <cstdlib>
 #include <vector>
 
-#if defined(__SANITIZE_THREAD__)
-#define PIPES_TSAN_ANNOTATE 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PIPES_TSAN_ANNOTATE 1
-#endif
-#endif
-#ifdef PIPES_TSAN_ANNOTATE
-#include <sanitizer/tsan_interface.h>
-#endif
+#include "common/tsan_mutex.h"
 
 namespace pipes {
 
@@ -42,42 +33,14 @@ void DropHold(std::vector<Hold>& holds, Hold* h) {
   holds.pop_back();
 }
 
-// ThreadSanitizer does not see a lock made of atomics and futex waits, so
-// the slot lock tells it where it is taken and released. Memory accesses
-// between a pre and a post hook are the lock's own and are ignored.
-#ifdef PIPES_TSAN_ANNOTATE
-unsigned TsanFlags(bool shared) { return shared ? __tsan_mutex_read_lock : 0; }
-void TsanCreate(void* m) { __tsan_mutex_create(m, 0); }
-void TsanDestroy(void* m) { __tsan_mutex_destroy(m, 0); }
-void TsanPreLock(void* m, bool shared) {
-  __tsan_mutex_pre_lock(m, TsanFlags(shared));
-}
-void TsanPostLock(void* m, bool shared) {
-  __tsan_mutex_post_lock(m, TsanFlags(shared), 0);
-}
-void TsanPreUnlock(void* m, bool shared) {
-  __tsan_mutex_pre_unlock(m, TsanFlags(shared));
-}
-void TsanPostUnlock(void* m, bool shared) {
-  __tsan_mutex_post_unlock(m, TsanFlags(shared));
-}
-#else
-void TsanCreate(void*) {}
-void TsanDestroy(void*) {}
-void TsanPreLock(void*, bool) {}
-void TsanPostLock(void*, bool) {}
-void TsanPreUnlock(void*, bool) {}
-void TsanPostUnlock(void*, bool) {}
-#endif
-
 }  // namespace
 
 ReentrantSharedMutex::ReentrantSharedMutex(const char* name, int rank)
     : cls_(lockorder::RegisterLockClass(name, rank, /*reentrant=*/true)) {
-  TsanCreate(this);
+  tsan::Create(this);
 }
 
-ReentrantSharedMutex::~ReentrantSharedMutex() { TsanDestroy(this); }
+ReentrantSharedMutex::~ReentrantSharedMutex() { tsan::Destroy(this); }
 
 // The handshake between readers and writers is Dekker's: a reader writes
 // its slot then reads the writer word, a writer writes the writer word then
@@ -158,9 +121,9 @@ void ReentrantSharedMutex::lock() PIPES_NO_THREAD_SAFETY_ANALYSIS {
     ++h->exclusive;
     return;
   }
-  TsanPreLock(this, /*shared=*/false);
+  tsan::PreLock(this, 0);
   AcquireExclusive();
-  TsanPostLock(this, /*shared=*/false);
+  tsan::PostLock(this, 0);
   holds.push_back({this, 0, 1});
 }
 
@@ -172,9 +135,9 @@ void ReentrantSharedMutex::unlock() PIPES_NO_THREAD_SAFETY_ANALYSIS {
     assert(h->shared == 0 &&
            "unlock() while still holding nested shared locks");
     DropHold(holds, h);
-    TsanPreUnlock(this, /*shared=*/false);
+    tsan::PreUnlock(this, 0);
     ReleaseExclusive();
-    TsanPostUnlock(this, /*shared=*/false);
+    tsan::PostUnlock(this, 0);
   }
   lockorder::OnRelease(cls_, this);
 }
@@ -188,9 +151,9 @@ void ReentrantSharedMutex::lock_shared() PIPES_NO_THREAD_SAFETY_ANALYSIS {
     ++h->shared;
     return;
   }
-  TsanPreLock(this, /*shared=*/true);
+  tsan::PreLock(this, tsan::kReadLock);
   AcquireShared();
-  TsanPostLock(this, /*shared=*/true);
+  tsan::PostLock(this, tsan::kReadLock);
   holds.push_back({this, 1, 0});
 }
 
@@ -201,11 +164,16 @@ void ReentrantSharedMutex::unlock_shared() PIPES_NO_THREAD_SAFETY_ANALYSIS {
          "unlock_shared() without lock_shared()");
   if (--h->shared == 0 && h->exclusive == 0) {
     DropHold(holds, h);
-    TsanPreUnlock(this, /*shared=*/true);
+    tsan::PreUnlock(this, tsan::kReadLock);
     ReleaseShared(slots_[ThreadSlot()].readers);
-    TsanPostUnlock(this, /*shared=*/true);
+    tsan::PostUnlock(this, tsan::kReadLock);
   }
   lockorder::OnRelease(cls_, this);
+}
+
+bool ReentrantSharedMutex::HeldSharedByCaller() const {
+  const Hold* h = FindHold(t_holds, this);
+  return h != nullptr && h->shared > 0;
 }
 
 }  // namespace pipes

@@ -35,8 +35,8 @@
 /// the lockdep-style lock-order validator; construct it with a class name
 /// and rank (lock_order.h) to participate in hierarchy checking. Under
 /// ThreadSanitizer it annotates the slot lock as a mutex, read-locked on the
-/// shared side, so TSan's race and deadlock detectors see a reader-writer
-/// lock rather than bare atomics.
+/// shared side (tsan_mutex.h, shared with pipes::Mutex), so TSan's race and
+/// deadlock detectors see a reader-writer lock rather than bare atomics.
 
 #pragma once
 
@@ -70,6 +70,10 @@ class PIPES_CAPABILITY("ReentrantSharedMutex") ReentrantSharedMutex {
 
   /// Releases one level of shared ownership.
   void unlock_shared() PIPES_RELEASE_SHARED();
+
+  /// True while the calling thread holds a shared level, alone or inside
+  /// its exclusive hold: some reader frame is on its stack.
+  bool HeldSharedByCaller() const;
 
  private:
   /// Bits of `writer_`.

@@ -22,43 +22,35 @@ const char* HandlerHealthToString(HandlerHealth h) {
   return "unknown";
 }
 
-namespace {
-
-/// Evaluation context backed by a handler's resolved dependencies.
-class HandlerEvalContext final : public EvalContext {
+/// Evaluation context backed by a handler's resolved dependencies. It reads
+/// the previous value only if the evaluator asks: the evaluating thread
+/// holds the handler's eval_mu_, so the slot cannot change meanwhile.
+class MetadataHandler::HandlerEvalContext final : public EvalContext {
  public:
-  HandlerEvalContext(MetadataProvider& provider, Timestamp now,
-                     Duration elapsed, MetadataValue previous,
-                     uint64_t eval_index,
-                     const std::vector<std::shared_ptr<MetadataHandler>>& deps)
-      : provider_(provider),
+  HandlerEvalContext(const MetadataHandler& handler, Timestamp now,
+                     Duration elapsed, uint64_t eval_index)
+      : handler_(handler),
         now_(now),
         elapsed_(elapsed),
-        previous_(std::move(previous)),
-        eval_index_(eval_index),
-        deps_(deps) {}
+        eval_index_(eval_index) {}
 
-  MetadataProvider& provider() const override { return provider_; }
+  MetadataProvider& provider() const override { return handler_.owner_; }
   Timestamp now() const override { return now_; }
   Duration elapsed() const override { return elapsed_; }
-  size_t dep_count() const override { return deps_.size(); }
+  size_t dep_count() const override { return handler_.deps_.size(); }
   MetadataValue Dep(size_t i) const override {
-    assert(i < deps_.size());
-    return deps_[i]->Get();
+    assert(i < handler_.deps_.size());
+    return handler_.deps_[i]->Get();
   }
-  MetadataValue Previous() const override { return previous_; }
+  MetadataValue Previous() const override { return handler_.LoadValue(); }
   uint64_t eval_index() const override { return eval_index_; }
 
  private:
-  MetadataProvider& provider_;
+  const MetadataHandler& handler_;
   Timestamp now_;
   Duration elapsed_;
-  MetadataValue previous_;
   uint64_t eval_index_;
-  const std::vector<std::shared_ptr<MetadataHandler>>& deps_;
 };
-
-}  // namespace
 
 MetadataHandler::MetadataHandler(
     MetadataProvider& owner, std::shared_ptr<const MetadataDescriptor> desc,
@@ -71,7 +63,11 @@ MetadataHandler::MetadataHandler(
       backoff_rng_(std::hash<std::string>()(owner.label()) ^
                    (std::hash<std::string>()(desc_->key()) << 1)) {}
 
-MetadataHandler::~MetadataHandler() = default;
+MetadataHandler::~MetadataHandler() {
+  // Replaced plans belong to the manager's retire list; the current one is
+  // this handler's own.
+  delete wave_plan_.load(std::memory_order_acquire);
+}
 
 MetadataValue MetadataHandler::Get() {
   if (retired()) {
@@ -132,8 +128,10 @@ bool MetadataHandler::InBackoff(Timestamp now) const {
 }
 
 MetadataValue MetadataHandler::EvaluateAndStore(Timestamp now, Duration elapsed,
-                                                bool* updated) {
+                                                bool* updated,
+                                                bool* evaluated) {
   if (updated != nullptr) *updated = false;
+  if (evaluated != nullptr) *evaluated = false;
   if (retired()) return LoadValueOrFallback();
 
   // Quarantine gate: inside the backoff window the evaluator is not invoked
@@ -150,8 +148,12 @@ MetadataValue MetadataHandler::EvaluateAndStore(Timestamp now, Duration elapsed,
   if (desc_->evaluator()) {
     uint64_t index = eval_count_.load(std::memory_order_relaxed);
     eval_count_.store(index + 1, std::memory_order_relaxed);
-    manager_.CountEvaluation();
-    HandlerEvalContext ctx(owner_, now, elapsed, LoadValue(), index, deps_);
+    if (evaluated != nullptr) {
+      *evaluated = true;
+    } else {
+      manager_.CountEvaluation();
+    }
+    HandlerEvalContext ctx(*this, now, elapsed, index);
     try {
       v = desc_->evaluator()(ctx);
     } catch (const std::exception& e) {
@@ -325,7 +327,7 @@ MetadataValue MetadataHandler::LoadValueOrFallback() const {
   return v;
 }
 
-void MetadataHandler::RefreshFromWave(Timestamp) {}
+bool MetadataHandler::RefreshFromWave(Timestamp) { return false; }
 
 void MetadataHandler::AddDependent(MetadataHandler* h) {
   // Duplicate subscriptions by the same dependent are detected to avoid
@@ -461,9 +463,11 @@ void TriggeredMetadataHandler::Activate(Timestamp now) {
   EvaluateAndStore(now, 0);
 }
 
-void TriggeredMetadataHandler::RefreshFromWave(Timestamp now) {
+bool TriggeredMetadataHandler::RefreshFromWave(Timestamp now) {
   MutexLock lock(eval_mu_);
-  EvaluateAndStore(now, now - last_updated());
+  bool evaluated = false;
+  EvaluateAndStore(now, now - last_updated(), /*updated=*/nullptr, &evaluated);
+  return evaluated;
 }
 
 }  // namespace pipes

@@ -170,10 +170,14 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   /// Returns the value consumers should see: the fresh value on success,
   /// otherwise the last-known-good value or the descriptor's fallback.
   /// Never throws. `updated` (optional) reports whether a fresh value was
-  /// stored. The caller holds eval_mu_ from before it reads the time the
-  /// evaluation spans, so publishes land in evaluation order.
+  /// stored. Each evaluator invocation is counted in the manager's stats,
+  /// here, unless the caller passes `evaluated`: that reports whether the
+  /// evaluator ran, and the caller counts it (a wave adds its refreshes'
+  /// evaluations once). The caller holds eval_mu_ from before it reads the
+  /// time the evaluation spans, so publishes land in evaluation order.
   MetadataValue EvaluateAndStore(Timestamp now, Duration elapsed,
-                                 bool* updated = nullptr)
+                                 bool* updated = nullptr,
+                                 bool* evaluated = nullptr)
       PIPES_REQUIRES(eval_mu_);
 
   /// Stores `v` as the current value with update time `now`.
@@ -210,9 +214,10 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   /// Tear-down before removal: cancel tasks. Called once by the manager.
   virtual void Deactivate() {}
 
-  /// Recomputes the value during an update-propagation wave. Default no-op;
-  /// only triggered handlers recompute.
-  virtual void RefreshFromWave(Timestamp now);
+  /// Recomputes the value during an update-propagation wave and returns
+  /// whether the evaluator ran, for the wave's evaluation count. Default
+  /// no-op; only triggered handlers recompute.
+  virtual bool RefreshFromWave(Timestamp now);
 
   /// True if a propagation wave continues to this handler's dependents
   /// (triggered and on-demand handlers forward change; periodic handlers
@@ -255,17 +260,19 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   /// topological (dependencies-first) order. `epoch` is the manager's
   /// structure epoch the plan was built at; a mismatch means a handler was
   /// included or excluded since, and the plan (including any raw pointers
-  /// it holds) must not be used. Immutable once published: a rebuild replaces the
-  /// whole plan, so a wave walks its own reference without a lock.
-  ///
-  /// Every wave from this origin writes the plan's shared_ptr count twice,
-  /// so make_shared gives the plan and its count a 128-byte block of their
-  /// own: packed next to another origin's plan, the count shared a line (or
-  /// an adjacent-line prefetch pair) with a wave driven from another thread.
-  struct alignas(128) WavePlan {
+  /// it holds) must not be used. Immutable once published: a rebuild
+  /// replaces the whole plan, and waves only read it, so a wave walks it
+  /// through a plain pointer without a lock or a reference count.
+  struct WavePlan {
     uint64_t epoch = 0;
     std::vector<MetadataHandler*> refresh;
+    /// Link in the manager's list of replaced plans, written once by the
+    /// wave that replaced this one; no wave reads it.
+    mutable const WavePlan* next_retired = nullptr;
   };
+
+  /// Evaluation context over `deps_` and the value slot (handler.cc).
+  class HandlerEvalContext;
 
   /// Health state machine (see RetryPolicy).
   void RecordSuccess() PIPES_REQUIRES(eval_mu_);
@@ -326,9 +333,12 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   std::atomic<uint64_t> skipped_evals_{0};
   std::atomic<uint64_t> recovery_count_{0};
 
-  /// This origin's current wave plan; null until the first wave. Loaded and
-  /// replaced whole by the manager's propagation path, never mutated.
-  std::atomic<std::shared_ptr<const WavePlan>> wave_plan_{nullptr};
+  /// This origin's current wave plan, owned by this handler; null until the
+  /// first wave. A wave that finds it null or stale installs a fresh one by
+  /// compare-exchange and hands the replaced plan to the manager, which
+  /// frees it under its next exclusive structure hold, when no wave can
+  /// still walk it. Never mutated once published.
+  std::atomic<const WavePlan*> wave_plan_{nullptr};
   /// Per-origin damping state; the manager's lock cannot be named here.
   // pipes-analyze: unguarded(MetadataManager::storm_mu)
   StormState storm_;
@@ -437,7 +447,7 @@ class TriggeredMetadataHandler final : public MetadataHandler {
 
  private:
   void Activate(Timestamp now) override;
-  void RefreshFromWave(Timestamp now) override;
+  bool RefreshFromWave(Timestamp now) override;
 };
 
 }  // namespace pipes

@@ -225,6 +225,9 @@ MetadataManager::MetadataManager(TaskScheduler& scheduler)
 MetadataManager::~MetadataManager() {
   // Stop durability first: its flush/checkpoint tasks walk manager state.
   DisableDurability();
+  // No wave can run any more: the plans replaced since the last exclusive
+  // hold go now, and each handler frees its current one.
+  ReclaimWavePlans();
   // Stop the governor before members start dying; a tick scheduled but not
   // yet run sees the cancelled handle and never fires.
   MutexLock lock(pressure_mu_);
@@ -251,7 +254,10 @@ Result<MetadataSubscription> MetadataManager::Subscribe(
   }
   // New handlers (and their dependent edges) change the graph shape: cached
   // wave plans must be rebuilt before the next wave.
-  if (!planning.plan.empty()) ++structure_epoch_;
+  if (!planning.plan.empty()) {
+    ++structure_epoch_;
+    ReclaimWavePlans();
+  }
 
   std::shared_ptr<MetadataHandler> handler =
       provider.metadata_registry().GetHandler(key);
@@ -436,6 +442,7 @@ void MetadataManager::MaybeRemove(
   // it, so invalidate them before the removal proceeds. The exclusive
   // structure lock keeps any concurrent wave out until we are done.
   ++structure_epoch_;
+  ReclaimWavePlans();
 
   handler->Deactivate();
   if (handler->mechanism() == UpdateMechanism::kPeriodic) {
@@ -478,10 +485,11 @@ void MetadataManager::MaybeRemove(
 void MetadataManager::FireEvent(MetadataProvider& provider,
                                 const MetadataKey& key) {
   // One shared hold covers the lookup and the wave; PropagateFrom's own
-  // SharedLock nests as a per-thread depth bump.
+  // SharedLock nests as a per-thread depth bump. The hold also keeps the
+  // handler alive without a reference: registry entries leave only under
+  // the exclusive hold.
   SharedLock lock(structure_mu_);
-  std::shared_ptr<MetadataHandler> handler =
-      provider.metadata_registry().GetHandler(key);
+  MetadataHandler* handler = provider.metadata_registry().FindIncluded(key);
   if (handler == nullptr) return;
   stats_events_.Increment();
   PropagateFrom(*handler, clock().Now());
@@ -507,15 +515,16 @@ void MetadataManager::FireEventDeferred(MetadataProvider& provider,
   });
 }
 
-void MetadataManager::RefreshContained(MetadataHandler& h, Timestamp now) {
+bool MetadataManager::RefreshContained(MetadataHandler& h, Timestamp now) {
   // Handler-level containment (EvaluateAndStore) already catches evaluator
   // faults; this guard additionally isolates the wave from anything a future
   // handler override might let escape, so one poisoned refresh can never
   // abort a whole propagation wave.
   try {
-    h.RefreshFromWave(now);
+    return h.RefreshFromWave(now);
   } catch (...) {
     stats_eval_failures_.Increment();
+    return false;
   }
 }
 
@@ -534,21 +543,59 @@ void MetadataManager::RunWave(MetadataHandler& origin, Timestamp now) {
   // re-run, and zero heap allocations. A nested wave finding a stale plan
   // rebuilds it right here, like any other wave.
   const uint64_t epoch = structure_epoch_;
-  std::shared_ptr<const MetadataHandler::WavePlan> plan =
+  const MetadataHandler::WavePlan* plan =
       origin.wave_plan_.load(std::memory_order_acquire);
-  if (plan == nullptr || plan->epoch != epoch) {
-    plan = RebuildWavePlan(origin, epoch);
-    origin.wave_plan_.store(plan, std::memory_order_release);
-    stats_wave_plan_rebuilds_.Increment();
-  } else {
+  if (plan != nullptr && plan->epoch == epoch) {
     stats_wave_plan_hits_.Increment();
+  } else {
+    // Install a current plan with one compare-exchange. Waves racing to
+    // rebuild this origin build equal plans (the epoch and the graph cannot
+    // change under their shared holds): the first install wins, and a loser
+    // frees its own plan and walks the winner's.
+    std::unique_ptr<MetadataHandler::WavePlan> fresh =
+        RebuildWavePlan(origin, epoch);
+    if (origin.wave_plan_.compare_exchange_strong(
+            plan, fresh.get(), std::memory_order_acq_rel,
+            std::memory_order_acquire)) {
+      if (plan != nullptr) RetireWavePlan(plan);
+      plan = fresh.release();
+    }
+    assert(plan->epoch == epoch);
+    stats_wave_plan_rebuilds_.Increment();
   }
 
   if (plan->refresh.empty()) return;
+  uint64_t evaluations = 0;
   for (MetadataHandler* h : plan->refresh) {
-    RefreshContained(*h, now);
+    if (RefreshContained(*h, now)) ++evaluations;
   }
   stats_wave_refreshes_.Add(plan->refresh.size());
+  stats_evaluations_.Add(evaluations);
+}
+
+void MetadataManager::RetireWavePlan(const MetadataHandler::WavePlan* plan) {
+  // A Treiber push. Nothing pops concurrently: ReclaimWavePlans runs under
+  // the exclusive hold, and retiring happens only under a shared one.
+  plan->next_retired = retired_plans_.load(std::memory_order_relaxed);
+  while (!retired_plans_.compare_exchange_weak(plan->next_retired, plan,
+                                               std::memory_order_release,
+                                               std::memory_order_relaxed)) {
+  }
+}
+
+void MetadataManager::ReclaimWavePlans() {
+  // Under the exclusive hold no wave pushes, so an empty list stays empty.
+  if (retired_plans_.load(std::memory_order_relaxed) == nullptr) return;
+  // A reader frame on this thread (a shared level inside its exclusive
+  // hold) may be a wave still walking one of these plans.
+  if (structure_mu_.HeldSharedByCaller()) return;
+  const MetadataHandler::WavePlan* plan =
+      retired_plans_.exchange(nullptr, std::memory_order_acquire);
+  while (plan != nullptr) {
+    const MetadataHandler::WavePlan* next = plan->next_retired;
+    delete plan;
+    plan = next;
+  }
 }
 
 namespace {
@@ -633,7 +680,7 @@ thread_local WaveScratch t_wave_scratch;
 
 }  // namespace
 
-std::shared_ptr<const MetadataHandler::WavePlan>
+std::unique_ptr<MetadataHandler::WavePlan>
 MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
   // The caller's shared structure lock keeps every dependents list still:
   // only Instantiate and MaybeRemove change them, under the exclusive one.
@@ -652,7 +699,7 @@ MetadataManager::RebuildWavePlan(MetadataHandler& origin, uint64_t epoch) {
     for (MetadataHandler* d : h->dependents_) scratch.Discover(d);
   }
 
-  auto plan = std::make_shared<MetadataHandler::WavePlan>();
+  auto plan = std::make_unique<MetadataHandler::WavePlan>();
   plan->epoch = epoch;
   if (scratch.closure.empty()) return plan;
 

@@ -372,7 +372,8 @@ class MetadataManager {
     return stats_active_.load(std::memory_order_relaxed);
   }
 
-  /// Internal: one evaluator invocation happened (called by handlers).
+  /// Internal: one evaluator invocation happened outside a wave (called by
+  /// handlers; a wave counts its refreshes' evaluations once).
   void CountEvaluation() {
     stats_evaluations_.Increment();
   }
@@ -397,6 +398,7 @@ class MetadataManager {
   void BumpStructureEpoch() PIPES_EXCLUDES(structure_mu_) {
     ExclusiveLock lock(structure_mu_);
     ++structure_epoch_;
+    ReclaimWavePlans();
   }
 
  private:
@@ -440,19 +442,32 @@ class MetadataManager {
       PIPES_REQUIRES(structure_mu_);
 
   /// Refreshes one handler in a wave with exception containment, so a
-  /// faulting refresh cannot abort the wave.
-  void RefreshContained(MetadataHandler& h, Timestamp now);
+  /// faulting refresh cannot abort the wave. Returns whether the handler's
+  /// evaluator ran.
+  bool RefreshContained(MetadataHandler& h, Timestamp now);
 
   /// \brief Runs the wave proper (post-admission): loads `origin`'s wave
-  /// plan, rebuilds and publishes a fresh one when its epoch is stale, and
+  /// plan, rebuilds and installs a fresh one when it is null or stale, and
   /// refreshes the plan's handlers in order.
   ///
   /// The caller's shared hold keeps the epoch and the graph still from the
   /// epoch load to the end of the walk: both change only under the exclusive
-  /// hold. So the raw handler pointers of a current plan stay valid, and
-  /// waves racing to rebuild one origin's stale plan store identical plans.
+  /// hold. So the raw handler pointers of a current plan stay valid, a plan
+  /// replaced meanwhile is retired rather than freed, and waves racing to
+  /// rebuild one origin's stale plan build equal plans, of which one
+  /// compare-exchange installs the first.
   void RunWave(MetadataHandler& origin, Timestamp now)
       PIPES_REQUIRES_SHARED(structure_mu_);
+
+  /// Hands a plan that a rebuild replaced to `retired_plans_`. Lock-free:
+  /// waves of several origins may retire plans at once.
+  void RetireWavePlan(const MetadataHandler::WavePlan* plan);
+
+  /// Frees the retired plans. Under the exclusive hold no wave of another
+  /// thread can walk one; a wave of this thread can, if an evaluator
+  /// changed the graph from inside it, so the plans then wait for a later
+  /// hold (or the destructor).
+  void ReclaimWavePlans() PIPES_REQUIRES(structure_mu_);
 
   /// \brief Storm-damping admission for a wave originating at `origin`.
   ///
@@ -499,7 +514,7 @@ class MetadataManager {
   /// on different threads may race, each returning the same plan. The caller
   /// holds the structure lock shared, so neither the graph nor `epoch` can
   /// change underneath.
-  static std::shared_ptr<const MetadataHandler::WavePlan> RebuildWavePlan(
+  static std::unique_ptr<MetadataHandler::WavePlan> RebuildWavePlan(
       MetadataHandler& origin, uint64_t epoch);
 
   TaskScheduler& scheduler_;
@@ -515,6 +530,10 @@ class MetadataManager {
   /// redefinition touches only items that are not included, and a retired
   /// handler keeps its edges until it is excluded, so neither bumps.
   uint64_t structure_epoch_ PIPES_GUARDED_BY(structure_mu_) = 1;
+  /// Wave plans replaced under shared holds since the last reclamation,
+  /// linked through WavePlan::next_retired. Pushed by waves, taken whole
+  /// by ReclaimWavePlans; it takes no lock.
+  std::atomic<const MetadataHandler::WavePlan*> retired_plans_{nullptr};
   /// Every included periodic handler, for cadence stretching: Instantiate
   /// adds one and MaybeRemove drops it, both under the exclusive hold, so a
   /// governor walk under the shared hold sees only live handlers.

@@ -119,6 +119,12 @@ std::shared_ptr<MetadataHandler> MetadataRegistry::GetHandler(
   return it == handlers_.end() ? nullptr : it->second;
 }
 
+MetadataHandler* MetadataRegistry::FindIncluded(const MetadataKey& key) const {
+  MutexLock lock(mu_);
+  auto it = handlers_.find(key);
+  return it == handlers_.end() ? nullptr : it->second.get();
+}
+
 bool MetadataRegistry::IsIncluded(const MetadataKey& key) const {
   MutexLock lock(mu_);
   return handlers_.count(key) > 0;

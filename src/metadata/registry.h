@@ -68,6 +68,11 @@ class MetadataRegistry {
   /// The active handler for `key`, or nullptr when the item is not included.
   std::shared_ptr<MetadataHandler> GetHandler(const MetadataKey& key) const;
 
+  /// Like GetHandler, without taking a reference: for a caller holding the
+  /// manager's structure lock, under which the handler stays included, and
+  /// so alive, because entries leave only under its exclusive hold.
+  MetadataHandler* FindIncluded(const MetadataKey& key) const;
+
   /// True iff the item currently has a handler.
   bool IsIncluded(const MetadataKey& key) const;
 

@@ -206,10 +206,13 @@ TEST(MetadataConcurrencyTest, StormDampingUnderConcurrentFireEvent) {
 TEST(MetadataConcurrencyTest, ConcurrentWavesWithStructureChurn) {
   // The concurrent-propagation stress: independent origins fire
   // concurrently (waves share only the structure lock) while a churn thread
-  // subscribes/unsubscribes and redefines other items, bumping the
-  // structure epoch so in-flight origins keep rebuilding and republishing
-  // their plans. Run under TSan this exercises every plan transition:
-  // steady walk, rebuild, racing rebuilds of one origin.
+  // subscribes and unsubscribes another item of each provider in turn,
+  // bumping the structure epoch twice a round, and redefines that item
+  // while it is excluded, which keeps every plan. So each origin's waves
+  // keep rebuilding and installing its plan, and the churner's exclusive
+  // holds free the plans they replaced. Each origin has one firing thread;
+  // SameOriginWavesConvergeToTheLastInput races rebuilds of one origin. Run
+  // under TSan this exercises steady walks, rebuilds and reclamation.
   ThreadPoolScheduler scheduler(4);
   MetadataManager manager(scheduler);
   constexpr int kOrigins = 4;
@@ -250,7 +253,7 @@ TEST(MetadataConcurrencyTest, ConcurrentWavesWithStructureChurn) {
         ASSERT_TRUE(sub.ok());
         // Subscribe and the end-of-scope unsubscribe each bump the epoch.
       }
-      // Redefinition (legal only while excluded) bumps the epoch once more.
+      // Redefinition (legal only while excluded) leaves the epoch alone.
       ASSERT_TRUE(p.metadata_registry()
                       .Redefine(MetadataDescriptor::Static(
                           "churn", double(round)))
@@ -381,7 +384,11 @@ TEST(MetadataConcurrencyTest, SameOriginWavesConvergeToTheLastInput) {
   // Waves of one origin fired from several threads refresh the same
   // handlers concurrently. A refresh publishes before the next refresh of
   // that handler evaluates, so once every event is handled the chain holds
-  // the last input: an older evaluation never overwrites a newer one.
+  // the last input: an older evaluation never overwrites a newer one. Each
+  // round starts with a stale plan, so the four threads also race to
+  // rebuild and install it, and the next round's bump frees the plans they
+  // replaced: under TSan and ASan a double free, a walk of a freed plan or
+  // a leaked one fails the test.
   MetaFixture fx;
   SimpleProvider p("p");
   auto& reg = p.metadata_registry();
@@ -405,6 +412,7 @@ TEST(MetadataConcurrencyTest, SameOriginWavesConvergeToTheLastInput) {
   ASSERT_TRUE(sub.ok());
 
   for (int round = 0; round < 200; ++round) {
+    fx.manager.BumpStructureEpoch();
     std::vector<std::thread> threads;
     for (int i = 0; i < 4; ++i) {
       threads.emplace_back([&] {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -307,13 +308,72 @@ TEST(WavePlanTest, RebuildWaveAllocatesOnlyThePlan) {
   fx.manager.BumpStructureEpoch();
   ScopedAllocCounter counter;
   fx.manager.FireEvent(p, "base");
-  // The plan with its control block, and its refresh list.
+  // The plan and its refresh list.
   EXPECT_LE(counter.delta(), 2) << "a rebuild wave allocates only its plan";
 
   const auto after = fx.manager.stats();
   EXPECT_EQ(after.wave_plan_rebuilds, before.wave_plan_rebuilds + 1);
   EXPECT_EQ(after.wave_refreshes, before.wave_refreshes + 8);
   EXPECT_EQ(*evals, evals_before + 8);
+}
+
+TEST(WavePlanTest, WavesCountEachEvaluationOnce) {
+  // A wave adds its refreshes' evaluations to the manager's count once, at
+  // its end, instead of once per refresh; the count still matches the
+  // evaluator's invocations, on a rebuild wave and on plan hits alike.
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto evals = std::make_shared<int>(0);
+  auto sub = fx.manager.Subscribe(p, DefineChainOfEight(p, evals));
+  ASSERT_TRUE(sub.ok());
+  ASSERT_EQ(fx.manager.stats().evaluations, 8u) << "one per activation";
+
+  for (int wave = 0; wave < 3; ++wave) {
+    const uint64_t before = fx.manager.stats().evaluations;
+    fx.manager.FireEvent(p, "base");
+    EXPECT_EQ(fx.manager.stats().evaluations, before + 8) << "wave " << wave;
+  }
+  EXPECT_EQ(fx.manager.stats().evaluations, static_cast<uint64_t>(*evals));
+  EXPECT_EQ(fx.manager.stats().wave_plan_hits, 2u);
+}
+
+TEST(WavePlanTest, WavesCountFailedEvaluationsButNotSkippedOnes) {
+  // A throwing evaluator ran: the wave counts it as an evaluation and as a
+  // contained failure. Inside its quarantine backoff the handler's
+  // evaluator does not run, so the wave counts a skipped evaluation instead.
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  auto fail = std::make_shared<bool>(false);
+  RetryPolicy policy;
+  policy.failures_to_quarantine = 1;
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("base", 1.0)).ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("t")
+                             .DependsOnSelf("base")
+                             .WithEvaluator([fail](EvalContext& ctx) {
+                               if (*fail) throw std::runtime_error("boom");
+                               return ctx.Dep(0);
+                             })
+                             .WithRetryPolicy(policy))
+                  .ok());
+  auto sub = fx.manager.Subscribe(p, "t");
+  ASSERT_TRUE(sub.ok());
+  const auto s0 = fx.manager.stats();
+
+  *fail = true;
+  fx.manager.FireEvent(p, "base");  // throws: counted, then quarantined
+  const auto s1 = fx.manager.stats();
+  EXPECT_EQ(s1.evaluations, s0.evaluations + 1);
+  EXPECT_EQ(s1.eval_failures, s0.eval_failures + 1);
+  EXPECT_EQ(s1.evals_skipped, s0.evals_skipped);
+  ASSERT_EQ(sub->handler()->health(), HandlerHealth::kQuarantined);
+
+  fx.manager.FireEvent(p, "base");  // same instant: inside the backoff
+  const auto s2 = fx.manager.stats();
+  EXPECT_EQ(s2.evaluations, s1.evaluations);
+  EXPECT_EQ(s2.eval_failures, s1.eval_failures);
+  EXPECT_EQ(s2.evals_skipped, s1.evals_skipped + 1);
+  EXPECT_EQ(s2.wave_refreshes, s1.wave_refreshes + 1);
 }
 
 TEST(WavePlanTest, IndependentOriginsCacheIndependentPlans) {
