@@ -506,13 +506,7 @@ void RunOverload() {
                  : "FAIL (queue unbounded, staleness bound broken, or <10x "
                    "storm reduction)");
 
-  if (std::FILE* f = std::fopen("BENCH_overload.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote BENCH_overload.json\n\n");
-  } else {
-    std::printf("could not write BENCH_overload.json\n\n");
-  }
+  WriteBenchFile("BENCH_overload.json", json);
 }
 
 // ---------------------------------------------------------------------------
@@ -684,13 +678,7 @@ void RunDurabilityPhase() {
               ok ? "PASS (100% of committed state recovered at every size)"
                  : "FAIL (recovery incomplete)");
 
-  if (std::FILE* f = std::fopen("BENCH_durability.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote BENCH_durability.json\n\n");
-  } else {
-    std::printf("could not write BENCH_durability.json\n\n");
-  }
+  WriteBenchFile("BENCH_durability.json", json);
 }
 
 // ---------------------------------------------------------------------------
@@ -873,13 +861,7 @@ void RunFederationPhase() {
                  : "FAIL (staleness bound violated, breaker never opened, or "
                    "no convergence)");
 
-  if (std::FILE* f = std::fopen("BENCH_remote_metadata.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote BENCH_remote_metadata.json\n\n");
-  } else {
-    std::printf("could not write BENCH_remote_metadata.json\n\n");
-  }
+  WriteBenchFile("BENCH_remote_metadata.json", json);
 }
 
 }  // namespace

@@ -194,13 +194,7 @@ void RunWaveThroughput(bool quick) {
   json += "\n  ]\n}\n";
   std::printf("%s\n", table.ToString().c_str());
 
-  if (std::FILE* f = std::fopen("BENCH_propagation.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote BENCH_propagation.json\n\n");
-  } else {
-    std::printf("could not write BENCH_propagation.json\n\n");
-  }
+  WriteBenchFile("BENCH_propagation.json", json);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,13 +431,7 @@ void RunParallelWaves(bool quick) {
   json += "\n  ]\n}\n";
   std::printf("%s\n", table.ToString().c_str());
 
-  if (std::FILE* f = std::fopen("BENCH_parallel_waves.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote BENCH_parallel_waves.json\n\n");
-  } else {
-    std::printf("could not write BENCH_parallel_waves.json\n\n");
-  }
+  WriteBenchFile("BENCH_parallel_waves.json", json);
 }
 
 void Run() {

@@ -28,6 +28,15 @@ inline void Banner(const std::string& id, const std::string& title,
   std::printf("=============================================================\n");
 }
 
+/// Writes a bench's JSON record to `path` and says so; a failed open,
+/// write or close reports "could not write" instead.
+inline void WriteBenchFile(const char* path, const std::string& json) {
+  std::FILE* f = std::fopen(path, "w");
+  bool ok = f != nullptr && std::fputs(json.c_str(), f) >= 0;
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  std::printf(ok ? "wrote %s\n\n" : "could not write %s\n\n", path);
+}
+
 /// The Figure 3 plan: two constant-rate sources, two time windows, a
 /// sliding-window join, one sink; cost-model estimates registered.
 struct WindowJoinPlan {

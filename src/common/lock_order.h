@@ -81,19 +81,14 @@ inline constexpr int kRankMetadataStructure = 200; ///< MetadataManager::structu
 /// Subscribe/Retire) and while reading provider registries (checkpoint).
 inline constexpr int kRankDurabilityProviders = 250;
 inline constexpr int kRankOperatorState = 300;     ///< MetadataProvider::state_mu
-/// MetadataManager::pressure_mu — the overload-control (brownout) governor
-/// state. Taken under the structure lock: exclusive when Instantiate
-/// registers a periodic handler, shared when a governor tick walks them.
-/// Held while stretching handler cadences (handler period locks, scheduler
-/// locks).
-inline constexpr int kRankPressureControl = 360;
 /// MetadataHandler::eval_mu — the handler's one lock: serializes evaluation,
 /// value publication with its journal append, and the health state machine.
 /// An evaluator reading an on-demand dependency nests one instance inside
 /// another, always from dependent to dependency.
 inline constexpr int kRankHandlerEval = 500;
 /// PeriodicMetadataHandler::period_mu_ — guards the mechanism task handle
-/// while the overload governor swaps cadences; held across Schedule* calls.
+/// while the overload governor swaps cadences under the exclusive structure
+/// lock; held across Schedule* calls.
 inline constexpr int kRankHandlerPeriod = 520;
 /// MetadataManager::storm_mu — storm-damping options and every origin's
 /// token bucket. Taken by wave admission, which a nested wave reaches with
@@ -104,16 +99,16 @@ inline constexpr int kRankStormDamping = 530;
 /// evaluator that fires a nested event (eval_mu held), so it sits below
 /// the journal but above every handler lock.
 inline constexpr int kRankRegistry = 570;
-/// net::Endpoint send/receiver state (LoopbackEndpoint::mu, TcpEndpoint::mu).
-/// Near-leaf: transports never call back into metadata while holding it
-/// (receivers are copied out and invoked unlocked), but Send() is reached
-/// from evaluators and federation paths holding most metadata locks.
-inline constexpr int kRankNetEndpoint = 610;
 /// MetadataDurability::journal_mu — LSN assignment + group-commit buffer.
 /// Innermost of the metadata locks that nest: value commits journal under
 /// the handler's eval_mu, structure mutations journal under the exclusive
 /// structure lock.
 inline constexpr int kRankDurabilityJournal = 580;
+/// net::Endpoint send/receiver state (LoopbackEndpoint::mu, TcpEndpoint::mu).
+/// Near-leaf: transports never call back into metadata while holding it
+/// (receivers are copied out and invoked unlocked), but Send() is reached
+/// from evaluators and federation paths holding most metadata locks.
+inline constexpr int kRankNetEndpoint = 610;
 inline constexpr int kRankModules = 650;           ///< MetadataProvider::modules_mu
 inline constexpr int kRankScheduler = 700;         ///< scheduler queue locks
 /// TaskScheduler::overload_mu_ — the deadline-miss rate average; taken by

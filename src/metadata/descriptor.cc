@@ -1,7 +1,5 @@
 #include "metadata/descriptor.h"
 
-#include <iterator>
-
 #include "metadata/provider.h"
 
 namespace pipes {
@@ -49,21 +47,7 @@ MetadataDescriptor MetadataDescriptor::Triggered(MetadataKey key) {
 
 void MetadataDescriptor::AppendSpecs(std::vector<DependencySpec> specs) {
   for (auto& s : specs) static_specs_.push_back(std::move(s));
-  // (Re)install the default resolver over the accumulated static specs.
-  auto specs_copy = static_specs_;
-  resolver_ = [specs = std::move(specs_copy)](ResolutionContext& ctx) {
-    std::vector<MetadataRef> out;
-    for (const auto& spec : specs) {
-      std::vector<MetadataRef> resolved = ctx.ResolveSpec(spec);
-      if (out.empty()) {
-        out = std::move(resolved);
-      } else {
-        out.insert(out.end(), std::make_move_iterator(resolved.begin()),
-                   std::make_move_iterator(resolved.end()));
-      }
-    }
-    return out;
-  };
+  resolver_ = nullptr;  // static specs replace an earlier dynamic resolver
 }
 
 MetadataDescriptor&& MetadataDescriptor::DependsOn(

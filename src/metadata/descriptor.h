@@ -223,7 +223,8 @@ class MetadataDescriptor {
   MetadataDescriptor&& DependsOnModule(std::string module, MetadataKey key) &&;
 
   /// Replaces the whole dependency resolution with a dynamic resolver
-  /// (paper §4.4.3). Overrides any DependsOn* specs.
+  /// (paper §4.4.3). Overrides any DependsOn* specs declared before it; a
+  /// DependsOn* call after it replaces the resolver in turn.
   ///
   /// The resolver runs when the item is included, and its result holds
   /// until the item is excluded. To change the dependencies, redefine the
@@ -269,8 +270,9 @@ class MetadataDescriptor {
   Duration period() const { return period_; }
   const MetadataValue& static_value() const { return static_value_; }
   const Evaluator& evaluator() const { return evaluator_; }
+  /// The dynamic resolver (paper §4.4.3); null when the dependencies are
+  /// the static specs, which inclusion planning resolves itself.
   const DependencyResolver& dependency_resolver() const { return resolver_; }
-  bool has_dependencies() const { return static_cast<bool>(resolver_); }
   /// The declared static dependency specs (empty when a dynamic resolver
   /// replaced them). Persisted by the durability layer.
   const std::vector<DependencySpec>& dependency_specs() const {
@@ -278,9 +280,7 @@ class MetadataDescriptor {
   }
   /// True when dependencies come from a dynamic resolver (paper §4.4.3) —
   /// code, hence unknowable to the durability layer.
-  bool has_dynamic_dependencies() const {
-    return static_cast<bool>(resolver_) && static_specs_.empty();
-  }
+  bool has_dynamic_dependencies() const { return static_cast<bool>(resolver_); }
   bool is_recovered_shell() const { return recovered_shell_; }
   const MonitoringHook& activate_monitoring() const { return activate_; }
   const MonitoringHook& deactivate_monitoring() const { return deactivate_; }
@@ -301,8 +301,8 @@ class MetadataDescriptor {
   Duration period_ = 0;
   MetadataValue static_value_;
   Evaluator evaluator_;
-  DependencyResolver resolver_;             // null => no dependencies
-  std::vector<DependencySpec> static_specs_;  // feeds the default resolver
+  DependencyResolver resolver_;             // null => static_specs_ apply
+  std::vector<DependencySpec> static_specs_;
   MonitoringHook activate_;
   MonitoringHook deactivate_;
   std::string description_;

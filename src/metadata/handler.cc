@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "metadata/manager.h"
+#include "metadata/persistence.h"
 #include "metadata/provider.h"
 
 namespace pipes {
@@ -118,7 +119,9 @@ void MetadataHandler::Retire() {
   // this handler into a read of its frozen value.
   // Journaled exactly once, while the owner is still alive (Retire is
   // called from the owner's registry teardown).
-  manager_.JournalRetire(owner_, desc_->key());
+  if (MetadataDurability* d = manager_.durability()) {
+    d->OnRetire(owner_, desc_->key());
+  }
 }
 
 bool MetadataHandler::InBackoff(Timestamp now) const {
@@ -316,7 +319,9 @@ void MetadataHandler::StoreValue(const MetadataValue& v, Timestamp now) {
   // Journal inside eval_mu_ so journal order matches publish order: the
   // last kValue record for this key is the value the slot held at the
   // crash. The hook is one atomic load when durability is off.
-  manager_.JournalValue(owner_, desc_->key(), v, now);
+  if (MetadataDurability* d = manager_.durability()) {
+    d->OnValue(owner_, desc_->key(), v, now);
+  }
 }
 
 MetadataValue MetadataHandler::LoadValue() const { return ReadSlot(); }

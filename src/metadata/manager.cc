@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cstddef>
-#include <memory_resource>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -88,12 +87,12 @@ using PlanMarks = std::pmr::unordered_map<RefView, PlanMark, RefViewHash>;
 /// 18 items plan without a heap allocation.
 constexpr size_t kPlanningArenaBytes = 4096;
 
-/// Drops repeated refs from a resolver's output, keeping the first of each
-/// in resolver order. Hashed rather than a quadratic scan, since wide
-/// resolvers (e.g. all-upstream fan-in at an aggregation point) can return
-/// hundreds of refs. The set borrows the keys of kept refs, which no longer
-/// move once kept.
-void DropDuplicates(std::vector<MetadataRef>* refs,
+/// Drops repeated refs from an item's resolved dependencies, keeping the
+/// first of each in resolution order. Hashed rather than a quadratic scan,
+/// since wide resolutions (e.g. all-upstream fan-in at an aggregation point)
+/// can return hundreds of refs. The set borrows the keys of kept refs, which
+/// no longer move once kept.
+void DropDuplicates(std::pmr::vector<MetadataRef>* refs,
                     std::pmr::memory_resource* arena) {
   if (refs->size() < 2) return;
   std::pmr::unordered_set<RefView, RefViewHash> seen(
@@ -106,6 +105,51 @@ void DropDuplicates(std::vector<MetadataRef>* refs,
     seen.insert(ViewOf(slot));
   }
   refs->erase(refs->begin() + static_cast<std::ptrdiff_t>(kept), refs->end());
+}
+
+/// Appends what `spec` resolves to on `self`'s topology, or sets `*error`.
+/// Planning and ResolutionContext::ResolveSpec share it.
+template <typename Refs>
+void ResolveSpecInto(MetadataProvider& self, const DependencySpec& spec,
+                     Refs* out, std::string* error) {
+  switch (spec.target) {
+    case DependencySpec::Target::kSelf:
+      out->push_back(MetadataRef{&self, spec.key});
+      break;
+    case DependencySpec::Target::kUpstream:
+    case DependencySpec::Target::kDownstream: {
+      const bool up = spec.target == DependencySpec::Target::kUpstream;
+      auto peers = up ? self.MetadataUpstreams() : self.MetadataDownstreams();
+      if (spec.index < 0) {
+        for (auto* p : peers) out->push_back(MetadataRef{p, spec.key});
+      } else if (static_cast<size_t>(spec.index) < peers.size()) {
+        out->push_back(MetadataRef{peers[spec.index], spec.key});
+      } else {
+        *error = std::string(up ? "upstream" : "downstream") + " index " +
+                 std::to_string(spec.index) + " out of range for '" +
+                 self.label() + "'";
+      }
+      break;
+    }
+    case DependencySpec::Target::kModule: {
+      MetadataProvider* module = self.MetadataModule(spec.module);
+      if (module != nullptr) {
+        out->push_back(MetadataRef{module, spec.key});
+      } else {
+        *error = "unknown module '" + spec.module + "' on '" + self.label() +
+                 "'";
+      }
+      break;
+    }
+    case DependencySpec::Target::kExplicit:
+      if (spec.provider != nullptr) {
+        out->push_back(MetadataRef{spec.provider, spec.key});
+      } else {
+        *error = "explicit dependency with null provider on '" +
+                 self.label() + "'";
+      }
+      break;
+  }
 }
 
 class ResolutionContextImpl final : public ResolutionContext {
@@ -129,53 +173,7 @@ class ResolutionContextImpl final : public ResolutionContext {
 
   std::vector<MetadataRef> ResolveSpec(const DependencySpec& spec) const override {
     std::vector<MetadataRef> out;
-    switch (spec.target) {
-      case DependencySpec::Target::kSelf:
-        out.push_back(MetadataRef{&self_, spec.key});
-        break;
-      case DependencySpec::Target::kUpstream: {
-        auto ups = self_.MetadataUpstreams();
-        if (spec.index < 0) {
-          for (auto* p : ups) out.push_back(MetadataRef{p, spec.key});
-        } else if (static_cast<size_t>(spec.index) < ups.size()) {
-          out.push_back(MetadataRef{ups[spec.index], spec.key});
-        } else {
-          error_ = "upstream index " + std::to_string(spec.index) +
-                   " out of range for '" + self_.label() + "'";
-        }
-        break;
-      }
-      case DependencySpec::Target::kDownstream: {
-        auto downs = self_.MetadataDownstreams();
-        if (spec.index < 0) {
-          for (auto* p : downs) out.push_back(MetadataRef{p, spec.key});
-        } else if (static_cast<size_t>(spec.index) < downs.size()) {
-          out.push_back(MetadataRef{downs[spec.index], spec.key});
-        } else {
-          error_ = "downstream index " + std::to_string(spec.index) +
-                   " out of range for '" + self_.label() + "'";
-        }
-        break;
-      }
-      case DependencySpec::Target::kModule: {
-        MetadataProvider* module = self_.MetadataModule(spec.module);
-        if (module != nullptr) {
-          out.push_back(MetadataRef{module, spec.key});
-        } else {
-          error_ = "unknown module '" + spec.module + "' on '" +
-                   self_.label() + "'";
-        }
-        break;
-      }
-      case DependencySpec::Target::kExplicit:
-        if (spec.provider != nullptr) {
-          out.push_back(MetadataRef{spec.provider, spec.key});
-        } else {
-          error_ = "explicit dependency with null provider on '" +
-                   self_.label() + "'";
-        }
-        break;
-    }
+    ResolveSpecInto(self_, spec, &out, &error_);
     return out;
   }
 
@@ -230,7 +228,7 @@ MetadataManager::~MetadataManager() {
   ReclaimWavePlans();
   // Stop the governor before members start dying; a tick scheduled but not
   // yet run sees the cancelled handle and never fires.
-  MutexLock lock(pressure_mu_);
+  ExclusiveLock lock(structure_mu_);
   governor_task_.Cancel();
 }
 
@@ -296,16 +294,24 @@ Status MetadataManager::PlanInclude(const MetadataRef& ref,
                             ref.provider->label() + "'");
   }
 
-  std::vector<MetadataRef> deps;
-  if (desc->dependency_resolver()) {
+  std::pmr::vector<MetadataRef> deps(planning->arena);
+  std::string error;
+  if (const DependencyResolver& resolve = desc->dependency_resolver()) {
     ResolutionContextImpl ctx(*ref.provider, planning->marks);
-    deps = desc->dependency_resolver()(ctx);
-    if (!ctx.error().empty()) {
-      return Status::InvalidArgument("resolving dependencies of '" + ref.key +
-                                     "': " + ctx.error());
+    std::vector<MetadataRef> resolved = resolve(ctx);
+    deps.reserve(resolved.size());
+    for (MetadataRef& dep : resolved) deps.push_back(std::move(dep));
+    error = ctx.error();
+  } else {
+    for (const DependencySpec& spec : desc->dependency_specs()) {
+      ResolveSpecInto(*ref.provider, spec, &deps, &error);
     }
-    DropDuplicates(&deps, planning->arena);
   }
+  if (!error.empty()) {
+    return Status::InvalidArgument("resolving dependencies of '" + ref.key +
+                                   "': " + error);
+  }
+  DropDuplicates(&deps, planning->arena);
 
   for (const MetadataRef& dep : deps) {
     Status st = PlanInclude(dep, planning);
@@ -377,7 +383,6 @@ std::shared_ptr<MetadataHandler> MetadataManager::Instantiate(
   if (entry.desc->mechanism() == UpdateMechanism::kPeriodic) {
     auto* ph = static_cast<PeriodicMetadataHandler*>(handler.get());
     periodic_handlers_.push_back(ph);
-    MutexLock plock(pressure_mu_);
     if (overload_enabled_ && current_factor_ > 1.0) {
       Duration before = ph->effective_period();
       Duration after = ph->ApplyDegradationFactor(current_factor_);
@@ -859,7 +864,7 @@ void MetadataManager::FlushStorm(const std::weak_ptr<MetadataHandler>& weak) {
 // ---------------------------------------------------------------------------
 
 void MetadataManager::EnableOverloadControl(const OverloadControlOptions& opts) {
-  MutexLock lock(pressure_mu_);
+  ExclusiveLock lock(structure_mu_);
   assert(opts.governor_period > 0 && "governor needs a positive period");
   overload_options_ = opts;
   governor_task_.Cancel();
@@ -869,8 +874,7 @@ void MetadataManager::EnableOverloadControl(const OverloadControlOptions& opts) 
 }
 
 void MetadataManager::DisableOverloadControl() {
-  SharedLock structure(structure_mu_);
-  MutexLock lock(pressure_mu_);
+  ExclusiveLock lock(structure_mu_);
   governor_task_.Cancel();
   if (!overload_enabled_) return;
   overload_enabled_ = false;
@@ -885,15 +889,14 @@ void MetadataManager::DisableOverloadControl() {
 }
 
 void MetadataManager::SetPressureProbe(std::function<bool()> probe) {
-  MutexLock lock(pressure_mu_);
+  ExclusiveLock lock(structure_mu_);
   pressure_probe_ = std::move(probe);
 }
 
 void MetadataManager::GovernorTick() {
-  // The shared hold keeps the periodic list still; ranks nest as in
-  // Instantiate: structure, then pressure, then each handler's period lock.
-  SharedLock structure(structure_mu_);
-  MutexLock lock(pressure_mu_);
+  // The exclusive hold guards the governor state; locks nest as in
+  // Instantiate: structure, then each handler's period lock, then scheduler.
+  ExclusiveLock lock(structure_mu_);
   if (!overload_enabled_) return;
 
   bool hot = pressure_probe_ ? pressure_probe_() : scheduler_.overloaded();
@@ -1033,8 +1036,8 @@ Status MetadataManager::EnableDurability(
   if (!started.ok()) return started;
   for (MetadataProvider* p : providers) {
     if (p == nullptr) continue;
-    // Attach so the provider's teardown reaches NotifyProviderTeardown —
-    // the roster must never hold a pointer to a silently-dead provider.
+    // Attach so the provider's teardown reaches OnProviderTeardown — the
+    // roster must never hold a pointer to a silently-dead provider.
     if (p->metadata_manager() == nullptr) p->AttachMetadataManager(this);
     engine->RegisterProvider(p);
   }
@@ -1075,48 +1078,6 @@ Result<RecoveryReport> MetadataManager::RecoverFrom(
         "disable durability before recovering (recover first, then enable)");
   }
   return MetadataDurability::Recover(*this, dir, providers);
-}
-
-void MetadataManager::JournalDefine(const MetadataProvider& provider,
-                                    const MetadataDescriptor& desc) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->OnDefine(provider, desc);
-  }
-}
-
-void MetadataManager::JournalUndefine(const MetadataProvider& provider,
-                                      const MetadataKey& key) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->OnUndefine(provider, key);
-  }
-}
-
-void MetadataManager::JournalValue(const MetadataProvider& provider,
-                                   const MetadataKey& key,
-                                   const MetadataValue& value, Timestamp now) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->OnValue(provider, key, value, now);
-  }
-}
-
-void MetadataManager::JournalRetire(const MetadataProvider& provider,
-                                    const MetadataKey& key) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->OnRetire(provider, key);
-  }
-}
-
-void MetadataManager::RegisterDurabilityProvider(
-    const MetadataProvider& provider) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->RegisterProvider(&provider);
-  }
-}
-
-void MetadataManager::NotifyProviderTeardown(const MetadataProvider& provider) {
-  if (MetadataDurability* d = durability_.load(std::memory_order_acquire)) {
-    d->OnProviderTeardown(provider);
-  }
 }
 
 void MetadataManager::InjectRecoveredValue(MetadataHandler& handler,

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -302,7 +303,7 @@ class MetadataManager {
   /// immediately: recovered values appear as last-known-good with real
   /// staleness; items whose evaluators are not yet re-defined come back as
   /// shells degrading through the fault-containment path. Off by default —
-  /// the journal hooks then cost one atomic load each. See persistence.h.
+  /// a journal hook then costs one load of durability(). See persistence.h.
   ///@{
   /// Starts journaling into `config.dir` and checkpoints the current state.
   /// `providers` seeds the checkpoint roster with providers whose items
@@ -330,25 +331,6 @@ class MetadataManager {
   /// MetadataDurability::Recover for the full protocol.
   Result<RecoveryReport> RecoverFrom(
       const std::string& dir, const std::vector<MetadataProvider*>& providers);
-
-  /// \name Journal hooks (internal; called by registries and handlers)
-  /// One acquire load + null check when durability is off.
-  ///@{
-  void JournalDefine(const MetadataProvider& provider,
-                     const MetadataDescriptor& desc);
-  void JournalUndefine(const MetadataProvider& provider,
-                       const MetadataKey& key);
-  void JournalValue(const MetadataProvider& provider, const MetadataKey& key,
-                    const MetadataValue& value, Timestamp now);
-  void JournalRetire(const MetadataProvider& provider, const MetadataKey& key);
-  /// Adds `provider` to the durability checkpoint roster. Called by
-  /// registries *before* taking the registry lock (the roster lock ranks
-  /// below it); no-op while durability is off.
-  void RegisterDurabilityProvider(const MetadataProvider& provider);
-  /// Called by ~MetadataProvider: drops the provider from the checkpoint
-  /// roster and records it gone (its items will not be recovered).
-  void NotifyProviderTeardown(const MetadataProvider& provider);
-  ///@}
   ///@}
 
   /// Snapshot of activity counters.
@@ -411,11 +393,11 @@ class MetadataManager {
 
   /// One item of an inclusion plan. `ref` is the subscribed root or an
   /// element of its dependent's `deps`; both stay put until Subscribe
-  /// returns.
+  /// returns. `deps` draws from the planning arena.
   struct PlanEntry {
     const MetadataRef* ref;
     std::shared_ptr<const MetadataDescriptor> desc;
-    std::vector<MetadataRef> deps;
+    std::pmr::vector<MetadataRef> deps;
   };
 
   /// One Subscribe's planning state, drawn from an arena on its stack
@@ -491,12 +473,11 @@ class MetadataManager {
 
   /// One governor tick: sample the pressure signal, advance the state
   /// machine, apply/restore cadence factors on transitions.
-  void GovernorTick();
+  void GovernorTick() PIPES_EXCLUDES(structure_mu_);
 
   /// Applies `factor` to every registered periodic handler that is not
   /// retired and refreshes the stretched-items gauge.
-  void ApplyPressureFactorLocked(double factor) PIPES_REQUIRES(pressure_mu_)
-      PIPES_REQUIRES_SHARED(structure_mu_);
+  void ApplyPressureFactorLocked(double factor) PIPES_REQUIRES(structure_mu_);
 
   /// Recovery-time value injection: publishes `v` with update time `ts` as
   /// `handler`'s last-known-good value without invoking its evaluator. Takes
@@ -534,28 +515,24 @@ class MetadataManager {
   /// linked through WavePlan::next_retired. Pushed by waves, taken whole
   /// by ReclaimWavePlans; it takes no lock.
   std::atomic<const MetadataHandler::WavePlan*> retired_plans_{nullptr};
-  /// Every included periodic handler, for cadence stretching: Instantiate
-  /// adds one and MaybeRemove drops it, both under the exclusive hold, so a
-  /// governor walk under the shared hold sees only live handlers.
-  std::vector<PeriodicMetadataHandler*> periodic_handlers_
-      PIPES_GUARDED_BY(structure_mu_);
 
   /// \name Overload-governor state
   ///
-  /// `pressure_mu_` ranks below the structure lock and above every handler
-  /// lock: Instantiate takes it under the exclusive structure lock, governor
-  /// walks under the shared one, and it is held while stretching handler
-  /// cadences (handler period locks, scheduler locks).
+  /// Under the structure lock, like the graph it stretches: Instantiate
+  /// reads it under its exclusive hold, and a tick and the control calls
+  /// take that hold themselves, so a tick briefly holds off waves.
   ///@{
-  mutable Mutex pressure_mu_{"MetadataManager::pressure_mu",
-                             lockorder::kRankPressureControl};
-  OverloadControlOptions overload_options_ PIPES_GUARDED_BY(pressure_mu_);
-  bool overload_enabled_ PIPES_GUARDED_BY(pressure_mu_) = false;
-  std::function<bool()> pressure_probe_ PIPES_GUARDED_BY(pressure_mu_);
-  TaskHandle governor_task_ PIPES_GUARDED_BY(pressure_mu_);
-  int hot_ticks_ PIPES_GUARDED_BY(pressure_mu_) = 0;
-  int cool_ticks_ PIPES_GUARDED_BY(pressure_mu_) = 0;
-  double current_factor_ PIPES_GUARDED_BY(pressure_mu_) = 1.0;
+  /// Every included periodic handler: Instantiate adds one, MaybeRemove
+  /// drops it.
+  std::vector<PeriodicMetadataHandler*> periodic_handlers_
+      PIPES_GUARDED_BY(structure_mu_);
+  OverloadControlOptions overload_options_ PIPES_GUARDED_BY(structure_mu_);
+  bool overload_enabled_ PIPES_GUARDED_BY(structure_mu_) = false;
+  std::function<bool()> pressure_probe_ PIPES_GUARDED_BY(structure_mu_);
+  TaskHandle governor_task_ PIPES_GUARDED_BY(structure_mu_);
+  int hot_ticks_ PIPES_GUARDED_BY(structure_mu_) = 0;
+  int cool_ticks_ PIPES_GUARDED_BY(structure_mu_) = 0;
+  double current_factor_ PIPES_GUARDED_BY(structure_mu_) = 1.0;
   /// Atomic mirror of the machine state so pressure_state() is lock-free.
   std::atomic<int> pressure_state_{0};
   ///@}

@@ -198,8 +198,9 @@ class RecoveryPendingError : public std::runtime_error {
 /// EnableDurability is active.
 ///
 /// Journal hooks (OnDefine/OnSubscribe/OnValue/...) are called by the
-/// manager, registry, and handlers through the manager's inline dispatch;
-/// when durability is off they cost one atomic load. All hooks are cheap:
+/// manager, registries, handlers and providers, each through one load of
+/// MetadataManager::durability(); when durability is off they cost that
+/// atomic load. All hooks are cheap:
 /// encode + stage under the journal lock; disk IO happens per the fsync
 /// policy (inline for kEveryRecord, on the flush task for kInterval).
 ///
@@ -226,7 +227,8 @@ class MetadataDurability {
   /// Cancels tasks and flushes + closes the journal (with fsync). Idempotent.
   void Stop();
 
-  /// \name Journal hooks (dispatched by MetadataManager)
+  /// \name Journal hooks (callers reach them through
+  /// MetadataManager::durability())
   ///@{
   void OnDefine(const MetadataProvider& provider,
                 const MetadataDescriptor& desc);
@@ -311,11 +313,11 @@ class MetadataDurability {
 
   /// The checkpoint roster: every provider that ever journaled through this
   /// instance, by label. The checkpoint gather holds this mutex for the
-  /// whole roster walk: ~MetadataProvider calls NotifyProviderTeardown ->
-  /// OnProviderTeardown (which acquires it) from its destructor *body*, and
-  /// the provider's registry is a base-class member destroyed only after
-  /// that body returns — so a dying provider blocks here until the gather
-  /// finishes, and every roster pointer stays valid while the lock is held.
+  /// whole roster walk: ~MetadataProvider calls OnProviderTeardown (which
+  /// acquires it) from its destructor *body*, and the provider's registry
+  /// is a base-class member destroyed only after that body returns — so a
+  /// dying provider blocks here until the gather finishes, and every roster
+  /// pointer stays valid while the lock is held.
   mutable Mutex providers_mu_{"MetadataDurability::providers_mu",
                               lockorder::kRankDurabilityProviders};
   std::map<std::string, const MetadataProvider*> providers_

@@ -1,6 +1,7 @@
 #include "metadata/provider.h"
 
 #include "metadata/manager.h"
+#include "metadata/persistence.h"
 
 namespace pipes {
 
@@ -23,16 +24,12 @@ MetadataProvider::~MetadataProvider() {
   // not resurrect its items. Planned shutdowns that want the state preserved
   // call DisableDurability() before tearing providers down.
   if (MetadataManager* mgr = metadata_manager()) {
-    mgr->NotifyProviderTeardown(*this);
+    if (MetadataDurability* d = mgr->durability()) d->OnProviderTeardown(*this);
   }
 }
 
 void MetadataProvider::AttachMetadataManager(MetadataManager* manager) {
   manager_.store(manager, std::memory_order_release);
-  // The registry journals definition changes through the manager. It needs
-  // it for nothing else: a redefinition refuses an included item, so no
-  // wave plan can refer to what it changes.
-  registry_.AttachManager(manager);
   MutexLock lock(modules_mu_);
   for (auto& [name, module] : modules_) {
     module->AttachMetadataManager(manager);

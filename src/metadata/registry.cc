@@ -4,37 +4,19 @@
 
 #include "metadata/handler.h"
 #include "metadata/manager.h"
+#include "metadata/persistence.h"
+#include "metadata/provider.h"
 
 namespace pipes {
 
-void MetadataRegistry::AttachManager(MetadataManager* manager) {
-  manager_.store(manager, std::memory_order_release);
-}
-
-void MetadataRegistry::JournalDefine(
-    const std::shared_ptr<const MetadataDescriptor>& stored) {
-  if (owner_ == nullptr) return;
-  if (MetadataManager* m = manager_.load(std::memory_order_acquire)) {
-    m->JournalDefine(*owner_, *stored);
-  }
-}
-
-void MetadataRegistry::JournalUndefine(const MetadataKey& key) {
-  if (owner_ == nullptr) return;
-  if (MetadataManager* m = manager_.load(std::memory_order_acquire)) {
-    m->JournalUndefine(*owner_, key);
-  }
-}
-
-void MetadataRegistry::PreRegisterForJournal() {
-  if (owner_ == nullptr) return;
-  if (MetadataManager* m = manager_.load(std::memory_order_acquire)) {
-    m->RegisterDurabilityProvider(*owner_);
-  }
+MetadataDurability* MetadataRegistry::Durability() const {
+  if (owner_ == nullptr) return nullptr;
+  MetadataManager* manager = owner_->metadata_manager();
+  return manager != nullptr ? manager->durability() : nullptr;
 }
 
 Status MetadataRegistry::Define(MetadataDescriptor desc) {
-  PreRegisterForJournal();
+  if (MetadataDurability* d = Durability()) d->RegisterProvider(owner_);
   MetadataKey key = desc.key();
   MutexLock lock(mu_);
   auto [it, inserted] = descriptors_.emplace(
@@ -42,12 +24,12 @@ Status MetadataRegistry::Define(MetadataDescriptor desc) {
   if (!inserted) {
     return Status::AlreadyExists("metadata item already defined: " + key);
   }
-  JournalDefine(it->second);
+  if (MetadataDurability* d = Durability()) d->OnDefine(*owner_, *it->second);
   return Status::OK();
 }
 
 Status MetadataRegistry::Redefine(MetadataDescriptor desc) {
-  PreRegisterForJournal();
+  if (MetadataDurability* d = Durability()) d->RegisterProvider(owner_);
   MetadataKey key = desc.key();
   MutexLock lock(mu_);
   auto it = descriptors_.find(key);
@@ -61,12 +43,12 @@ Status MetadataRegistry::Redefine(MetadataDescriptor desc) {
   it->second = std::make_shared<const MetadataDescriptor>(std::move(desc));
   // A redefinition journals as kDefine: replay applies records in LSN
   // order, so the last definition wins — exactly the redefine semantics.
-  JournalDefine(it->second);
+  if (MetadataDurability* d = Durability()) d->OnDefine(*owner_, *it->second);
   return Status::OK();
 }
 
 Status MetadataRegistry::DefineOrRedefine(MetadataDescriptor desc) {
-  PreRegisterForJournal();
+  if (MetadataDurability* d = Durability()) d->RegisterProvider(owner_);
   MetadataKey key = desc.key();
   MutexLock lock(mu_);
   if (handlers_.count(key) > 0) {
@@ -75,7 +57,7 @@ Status MetadataRegistry::DefineOrRedefine(MetadataDescriptor desc) {
   }
   auto stored = std::make_shared<const MetadataDescriptor>(std::move(desc));
   descriptors_[key] = stored;
-  JournalDefine(stored);
+  if (MetadataDurability* d = Durability()) d->OnDefine(*owner_, *stored);
   return Status::OK();
 }
 
@@ -88,7 +70,7 @@ Status MetadataRegistry::Undefine(const MetadataKey& key) {
   if (descriptors_.erase(key) == 0) {
     return Status::NotFound("unknown metadata item: " + key);
   }
-  JournalUndefine(key);
+  if (MetadataDurability* d = Durability()) d->OnUndefine(*owner_, key);
   return Status::OK();
 }
 

@@ -8,7 +8,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,8 +20,8 @@
 
 namespace pipes {
 
+class MetadataDurability;
 class MetadataHandler;
-class MetadataManager;
 class MetadataProvider;
 
 /// \brief Holds the metadata descriptors (available items) and the active
@@ -86,17 +85,12 @@ class MetadataRegistry {
   void AddHandler(const MetadataKey& key, std::shared_ptr<MetadataHandler> h);
   void RemoveHandler(const MetadataKey& key);
 
-  /// Ties this registry to the manager serving its provider's graph, so that
-  /// definition changes reach the manager's journal when durability is on.
-  /// Redefinitions need nothing else from it: they touch only items that
-  /// are not included, which no handler or wave plan refers to. Called by
-  /// MetadataProvider::AttachMetadataManager; idempotent.
-  void AttachManager(MetadataManager* manager);
-
-  /// Ties this registry to the provider that owns it, so definition changes
-  /// can be journaled with the provider's identity when durability is on.
-  /// Called once from the MetadataProvider constructor (before the registry
-  /// is visible to any other thread).
+  /// Ties this registry to the provider that owns it. Definition changes
+  /// reach the journal through the provider's manager, with the provider's
+  /// identity, when durability is on; they need the manager for nothing
+  /// else, since they touch only items that are not included, which no
+  /// handler or wave plan refers to. Called once from the MetadataProvider
+  /// constructor (before the registry is visible to any other thread).
   void AttachOwner(const MetadataProvider* owner) { owner_ = owner; }
 
   /// Retires every still-included handler (provider teardown): cancels their
@@ -106,29 +100,21 @@ class MetadataRegistry {
   void RetireAllHandlers();
 
  private:
-  /// Journals a (re)definition / undefinition through the attached manager.
-  /// Called *under* mu_, immediately after the map mutation, so the
-  /// journal's LSN order matches the in-memory mutation order for
-  /// concurrent Define/Undefine of the same key (the journal mutex, rank
-  /// 580, legally nests inside the registry lock, rank 570). No-op until
-  /// both a manager and an owner are attached.
-  void JournalDefine(const std::shared_ptr<const MetadataDescriptor>& stored)
-      PIPES_REQUIRES(mu_);
-  void JournalUndefine(const MetadataKey& key) PIPES_REQUIRES(mu_);
-
-  /// Adds the owner to the durability checkpoint roster. Called *before*
-  /// mu_: the roster lock (rank 250) must not nest inside the registry
-  /// lock. No-op while durability is off or nothing is attached.
-  void PreRegisterForJournal();
+  /// The durability engine of the owner's manager: nullptr while durability
+  /// is off, or before an owner and a manager are attached. A definition
+  /// change adds the owner to the checkpoint roster *before* mu_ (the
+  /// roster lock, rank 250, must not nest inside the registry lock), and
+  /// journals *under* mu_, right after the map mutation, so the journal's
+  /// LSN order matches the in-memory mutation order for concurrent
+  /// Define/Undefine of the same key (the journal mutex, rank 580, legally
+  /// nests inside the registry lock, rank 570).
+  MetadataDurability* Durability() const;
 
   mutable Mutex mu_{"MetadataRegistry::mu", lockorder::kRankRegistry};
   std::map<MetadataKey, std::shared_ptr<const MetadataDescriptor>> descriptors_
       PIPES_GUARDED_BY(mu_);
   std::map<MetadataKey, std::shared_ptr<MetadataHandler>> handlers_
       PIPES_GUARDED_BY(mu_);
-  /// The manager of this provider's graph, for the journal hooks (nullptr
-  /// until first inclusion or explicit attachment).
-  std::atomic<MetadataManager*> manager_{nullptr};
   /// The owning provider (set once at construction, before concurrency).
   const MetadataProvider* owner_ = nullptr;
 };

@@ -1,6 +1,7 @@
 #include "metadata/remote.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <utility>
 
@@ -279,8 +280,10 @@ std::shared_ptr<MetadataHandler> RemoteMetadataProvider::ApplyLocked(
     return nullptr;
   }
   m.last_seen = seq;
-  std::shared_ptr<MetadataHandler> handler = metadata_registry().GetHandler(m.key);
-  if (handler == nullptr) return nullptr;  // excluded; cursor still advances
+  // The mirror's own subscription keeps its handler included. Copied, not
+  // borrowed: the caller runs the wave after releasing fed_mu_.
+  std::shared_ptr<MetadataHandler> handler = m.internal_sub.handler();
+  assert(handler != nullptr);
   // Wall-anchored timestamps keep staleness true across the process
   // boundary; clamp peer clocks running ahead so staleness is never
   // negative.

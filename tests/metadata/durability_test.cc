@@ -715,7 +715,7 @@ TEST(DurabilityConcurrencyTest, ProviderTeardownDuringCheckpointIsSafe) {
       ASSERT_TRUE(p->metadata_registry()
                       .Define(MetadataDescriptor::Static(key, 1.0 + i))
                       .ok());
-      // ~MetadataProvider -> NotifyProviderTeardown races the checkpoints.
+      // ~MetadataProvider -> OnProviderTeardown races the checkpoints.
     }
   });
   for (int i = 0; i < 60; ++i) {

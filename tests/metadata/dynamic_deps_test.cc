@@ -111,6 +111,43 @@ TEST(DynamicDepsTest, ResolverSeesItemsPlannedInTheSameSubscription) {
   EXPECT_FALSE(reg.IsIncluded("b"));
 }
 
+TEST(DynamicDepsTest, TheLastDependencyDeclarationWins) {
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("b", 1.0)).ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("c", 2.0)).ok());
+  auto to_c = [&p](ResolutionContext&) {
+    return std::vector<MetadataRef>{MetadataRef{&p, "c"}};
+  };
+  auto first_dep = [](EvalContext& ctx) { return ctx.Dep(0); };
+  // A resolver declared after static specs replaces them...
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("resolver_last")
+                             .DependsOnSelf("b")
+                             .WithDynamicDependencies(to_c)
+                             .WithEvaluator(first_dep))
+                  .ok());
+  // ...and static specs declared after a resolver replace it.
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("specs_last")
+                             .WithDynamicDependencies(to_c)
+                             .DependsOnSelf("b")
+                             .WithEvaluator(first_dep))
+                  .ok());
+  EXPECT_TRUE(reg.Find("resolver_last")->has_dynamic_dependencies());
+  EXPECT_TRUE(reg.Find("resolver_last")->dependency_specs().empty());
+  EXPECT_FALSE(reg.Find("specs_last")->has_dynamic_dependencies());
+  EXPECT_EQ(reg.Find("specs_last")->dependency_specs().size(), 1u);
+
+  auto resolver_last = fx.manager.Subscribe(p, "resolver_last");
+  ASSERT_TRUE(resolver_last.ok());
+  EXPECT_EQ(resolver_last->Get().AsDouble(), 2.0);
+  EXPECT_FALSE(reg.IsIncluded("b"));
+  auto specs_last = fx.manager.Subscribe(p, "specs_last");
+  ASSERT_TRUE(specs_last.ok());
+  EXPECT_EQ(specs_last->Get().AsDouble(), 1.0);
+  EXPECT_TRUE(reg.IsIncluded("b"));
+}
+
 TEST(DynamicDepsTest, ResolverReturningUnknownItemFailsAtomically) {
   MetaFixture fx;
   SimpleProvider p("p");

@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
+#include <thread>
 
 #include "metadata/handler.h"
 #include "test_support.h"
@@ -235,6 +241,98 @@ TEST(OverloadTest, ExcludedPeriodicItemsLeaveTheGovernor) {
 
   auto again = fx.manager.Subscribe(p, "churned").value();
   EXPECT_EQ(AsPeriodic(again)->effective_period(), 4 * Seconds(1));
+}
+
+TEST(OverloadTest, GovernorTicksRaceWavesAndChurnOnAThreadPool) {
+  // The other governor tests run in virtual time. Here a 1 ms governor on a
+  // two-worker pool changes state every few ticks while one thread fires
+  // waves and another includes and excludes a periodic item; each tick
+  // takes the structure lock exclusively between their holds.
+  std::atomic<int64_t> input{0};
+  ThreadPoolScheduler scheduler(2);
+  MetadataManager manager(scheduler);
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("in").WithEvaluator(
+                             [&input](EvalContext&) {
+                               return MetadataValue(
+                                   input.load(std::memory_order_relaxed));
+                             }))
+                  .ok());
+  MetadataKey prev = "in";
+  for (const char* key : {"mid", "leaf"}) {
+    ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered(key)
+                               .DependsOnSelf(prev)
+                               .WithEvaluator([](EvalContext& ctx) {
+                                 return ctx.Dep(0);
+                               }))
+                    .ok());
+    prev = key;
+  }
+  for (const char* key : {"standing", "churned"}) {
+    ASSERT_TRUE(reg.Define(MetadataDescriptor::Periodic(key, Millis(10))
+                               .WithEvaluator([](EvalContext&) {
+                                 return MetadataValue(1.0);
+                               }))
+                    .ok());
+  }
+  auto leaf = manager.Subscribe(p, "leaf").value();
+  auto standing = manager.Subscribe(p, "standing").value();
+
+  std::atomic<bool> hot{false};
+  manager.SetPressureProbe(
+      [&hot] { return hot.load(std::memory_order_relaxed); });
+  OverloadControlOptions opts;
+  opts.governor_period = Millis(1);
+  opts.ticks_to_pressure = 1;
+  opts.ticks_to_brownout = 1;
+  opts.ticks_to_recover = 1;
+  manager.EnableOverloadControl(opts);
+
+  std::atomic<bool> stop{false};
+  // Returns how many fires the leaf did not show right after.
+  auto waves = std::async(std::launch::async, [&] {
+    int64_t misses = 0;
+    for (int64_t i = 1; !stop.load(std::memory_order_acquire); ++i) {
+      input.store(i, std::memory_order_relaxed);
+      manager.FireEvent(p, "in");
+      if (leaf.Get().AsInt() != i) ++misses;
+    }
+    return misses;
+  });
+  // Returns how many inclusions succeeded.
+  auto churn = std::async(std::launch::async, [&] {
+    int64_t included = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      if (manager.Subscribe(p, "churned").ok()) ++included;
+    }
+    return included;
+  });
+  const auto end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (std::chrono::steady_clock::now() < end) {
+    hot.store(!hot.load(std::memory_order_relaxed), std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::milliseconds(4));
+  }
+  stop.store(true, std::memory_order_release);
+  // Bounded, so that a deadlock fails the test instead of hanging it.
+  for (auto* done : {&waves, &churn}) {
+    if (done->wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+      std::fprintf(stderr, "governor ticks deadlocked with waves or churn\n");
+      std::abort();
+    }
+  }
+  EXPECT_EQ(waves.get(), 0);
+  EXPECT_GT(churn.get(), 0);
+
+  manager.DisableOverloadControl();
+  auto stats = manager.stats();
+  EXPECT_GE(stats.pressure_enters, 1u);
+  EXPECT_GE(stats.period_restores, 1u);
+  EXPECT_EQ(AsPeriodic(standing)->effective_period(), Millis(10));
+  EXPECT_EQ(leaf.Get().AsInt(), input.load());
+  // Stop the pool before the manager dies (see MetadataConcurrencyTest).
+  scheduler.Shutdown();
 }
 
 // --- Storm damping ----------------------------------------------------------

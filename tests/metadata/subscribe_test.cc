@@ -415,11 +415,12 @@ TEST(SubscribeTest, WarmChainInclusionAllocatesWhatTheHandlersKeep) {
   const int64_t allocs = counter.delta();
   ASSERT_TRUE(sub.ok());
   ASSERT_EQ(fx.manager.active_handler_count(), 9u);
-  // What a handler keeps: itself, its shared_ptr control block, its
-  // dependency list, its dependency's dependents list and its registry
-  // entry. On top, each resolver returns a list. Planning's bookkeeping
-  // draws from an arena on Subscribe's stack.
-  EXPECT_LE(allocs, 9 * 6) << "allocations for a 9-handler inclusion";
+  // Only what a handler keeps: itself, its shared_ptr control block, its
+  // registry entry, its dependency list and its dependency's dependents
+  // list; the static base has no dependency and the top item no
+  // dependent. Planning, static dependency specs included, resolves into
+  // an arena on Subscribe's stack.
+  EXPECT_EQ(allocs, 9 * 5 - 2) << "allocations for a 9-handler inclusion";
 }
 
 }  // namespace
