@@ -442,30 +442,33 @@ void RunOverload() {
   // b) degradation
   DegradeResult d = RunDegradation();
   bool bound_held = d.bounded_max <= kStalenessBound;
+  const char* final_state =
+      PressureStateToString(static_cast<PressureState>(d.state));
   TablePrinter deg({"item", "base period [ms]", "max_staleness [ms]",
-                    "worst observed [ms]", "bound held"});
+                    "worst observed [ms]", "bound held", "final state"});
   deg.AddRow({"bounded", TablePrinter::Fmt(double(kDegradeBase) / kMicrosPerMilli, 0),
               TablePrinter::Fmt(double(kStalenessBound) / kMicrosPerMilli, 0),
               TablePrinter::Fmt(double(d.bounded_max) / kMicrosPerMilli, 1),
-              bound_held ? "yes" : "NO"});
+              bound_held ? "yes" : "NO", final_state});
   deg.AddRow({"unbounded", TablePrinter::Fmt(double(kDegradeBase) / kMicrosPerMilli, 0),
               "default x8",
               TablePrinter::Fmt(double(d.unbounded_max) / kMicrosPerMilli, 1),
-              d.unbounded_max <= 8 * kDegradeBase ? "yes" : "NO"});
+              d.unbounded_max <= 8 * kDegradeBase ? "yes" : "NO", final_state});
   std::printf("%s\n", deg.ToString().c_str());
   char dbuf[512];
   std::snprintf(dbuf, sizeof(dbuf),
                 "  \"degradation\": {\"base_period_ms\": %.0f, "
                 "\"max_staleness_ms\": %.0f, \"bounded_worst_ms\": %.1f, "
                 "\"unbounded_worst_ms\": %.1f, \"period_stretches\": %llu, "
-                "\"brownout_enters\": %llu, \"bound_held\": %s},\n",
+                "\"brownout_enters\": %llu, \"bound_held\": %s, "
+                "\"final_state\": \"%s\"},\n",
                 double(kDegradeBase) / kMicrosPerMilli,
                 double(kStalenessBound) / kMicrosPerMilli,
                 double(d.bounded_max) / kMicrosPerMilli,
                 double(d.unbounded_max) / kMicrosPerMilli,
                 (unsigned long long)d.stretches,
                 (unsigned long long)d.brownout_enters,
-                bound_held ? "true" : "false");
+                bound_held ? "true" : "false", final_state);
   json += dbuf;
 
   // c) storm damping

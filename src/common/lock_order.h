@@ -94,10 +94,11 @@ inline constexpr int kRankHandlerPeriod = 520;
 /// token bucket. Taken by wave admission, which a nested wave reaches with
 /// a handler's eval_mu held, and held across the flush's Schedule* call.
 inline constexpr int kRankStormDamping = 530;
-/// MetadataRegistry::mu — descriptor/handler lookup. Resolved while the
-/// provider state lock is held (FireEvent fan-out) *and* from inside an
-/// evaluator that fires a nested event (eval_mu held), so it sits below
-/// the journal but above every handler lock.
+/// MetadataRegistry::mu — the descriptor catalog only; included handlers
+/// are graph state under the structure lock, so no event takes it.
+/// Planning reads definitions under the exclusive structure lock, and a
+/// definition change takes it inside a shared structure hold and journals
+/// under it: it ranks inside the structure lock and outside the journal.
 inline constexpr int kRankRegistry = 570;
 /// MetadataDurability::journal_mu — LSN assignment + group-commit buffer.
 /// Innermost of the metadata locks that nest: value commits journal under

@@ -335,12 +335,11 @@ MetadataValue MetadataHandler::LoadValueOrFallback() const {
 bool MetadataHandler::RefreshFromWave(Timestamp) { return false; }
 
 void MetadataHandler::AddDependent(MetadataHandler* h) {
-  // Duplicate subscriptions by the same dependent are detected to avoid
-  // redundant notifications (paper §3.2.3).
-  if (std::find(dependents_.begin(), dependents_.end(), h) ==
-      dependents_.end()) {
-    dependents_.push_back(h);
-  }
+  // Planning drops duplicate dependencies, so a dependent subscribes once
+  // and is notified once (paper §3.2.3).
+  assert(std::find(dependents_.begin(), dependents_.end(), h) ==
+         dependents_.end());
+  dependents_.push_back(h);
 }
 
 void MetadataHandler::RemoveDependent(MetadataHandler* h) {

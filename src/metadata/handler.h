@@ -140,7 +140,7 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   /// \name Reference counts (mutated only under the manager structure lock)
   ///@{
   int external_refs() const { return external_refs_; }
-  int internal_refs() const { return internal_refs_; }
+  int internal_refs() const { return static_cast<int>(dependents_.size()); }
   ///@}
 
   /// Internal: handlers are created by the MetadataManager only.
@@ -349,7 +349,6 @@ class MetadataHandler : public std::enable_shared_from_this<MetadataHandler> {
   // are read under the shared one too (RebuildWavePlan).
   std::vector<MetadataHandler*> dependents_;  // pipes-analyze: unguarded(MetadataManager structure lock)
   int external_refs_ = 0;  // pipes-analyze: unguarded(MetadataManager structure lock)
-  int internal_refs_ = 0;  // pipes-analyze: unguarded(MetadataManager structure lock)
 
   /// Written under eval_mu_, so a relaxed load plus store suffices; atomic
   /// because their readers take no lock.

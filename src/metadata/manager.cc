@@ -357,10 +357,9 @@ std::shared_ptr<MetadataHandler> MetadataManager::Instantiate(
       break;
   }
 
-  // Wire the inverted dependency graph and internal reference counts.
+  // Wire the inverted dependency graph, whose edges are the internal refs.
   for (const auto& dep : handler->dependencies()) {
     dep->AddDependent(handler.get());
-    dep->internal_refs_ += 1;
   }
 
   // Providers learn their manager on first inclusion, so that
@@ -441,7 +440,7 @@ void MetadataManager::CountHealthTransition(HandlerHealth from,
 
 void MetadataManager::MaybeRemove(
     const std::shared_ptr<MetadataHandler>& handler) {
-  if (handler->external_refs_ > 0 || handler->internal_refs_ > 0) return;
+  if (handler->external_refs_ > 0 || !handler->dependents_.empty()) return;
 
   // The handler leaves the graph: cached wave plans may hold raw pointers to
   // it, so invalidate them before the removal proceeds. The exclusive
@@ -481,16 +480,14 @@ void MetadataManager::MaybeRemove(
   // dependent metadata items by an implicit exclusion." (§2.4)
   for (const auto& dep : handler->dependencies()) {
     dep->RemoveDependent(handler.get());
-    assert(dep->internal_refs_ > 0);
-    dep->internal_refs_ -= 1;
     MaybeRemove(dep);
   }
 }
 
 void MetadataManager::FireEvent(MetadataProvider& provider,
                                 const MetadataKey& key) {
-  // One shared hold covers the lookup and the wave; PropagateFrom's own
-  // SharedLock nests as a per-thread depth bump. The hold also keeps the
+  // One shared hold guards the lookup and covers the wave; PropagateFrom's
+  // own SharedLock nests as a per-thread depth bump. The hold also keeps the
   // handler alive without a reference: registry entries leave only under
   // the exclusive hold.
   SharedLock lock(structure_mu_);
@@ -498,26 +495,6 @@ void MetadataManager::FireEvent(MetadataProvider& provider,
   if (handler == nullptr) return;
   stats_events_.Increment();
   PropagateFrom(*handler, clock().Now());
-}
-
-void MetadataManager::FireEventDeferred(MetadataProvider& provider,
-                                        const MetadataKey& key) {
-  // Resolve the handler now, through the registry alone: the caller may hold
-  // a node state lock exclusively, and taking the structure lock under it
-  // would invert Subscribe's structure -> state order. Hand the task a
-  // weak_ptr: the provider may be torn down before the scheduler runs the
-  // task, so capturing `&provider` (or a raw handler pointer) would dangle.
-  // A dead or retired handler means the event has nothing left to notify —
-  // drop it.
-  std::weak_ptr<MetadataHandler> weak =
-      provider.metadata_registry().GetHandler(key);
-  if (weak.expired()) return;
-  scheduler_.ScheduleAt(clock().Now(), [this, weak] {
-    std::shared_ptr<MetadataHandler> handler = weak.lock();
-    if (handler == nullptr || handler->retired()) return;
-    stats_events_.Increment();
-    PropagateFrom(*handler, clock().Now());
-  });
 }
 
 bool MetadataManager::RefreshContained(MetadataHandler& h, Timestamp now) {

@@ -196,8 +196,8 @@ struct StormDampingOptions {
 /// Thread safety: all public methods are safe to call concurrently.
 class MetadataManager {
  public:
-  /// `scheduler` runs periodic updates and deferred events; it must outlive
-  /// the manager.
+  /// `scheduler` runs periodic updates, storm flushes and governor ticks; it
+  /// must outlive the manager.
   explicit MetadataManager(TaskScheduler& scheduler);
   ~MetadataManager();
 
@@ -220,14 +220,9 @@ class MetadataManager {
   ///
   /// Never call it while holding a provider state lock exclusively: the wave
   /// takes the structure lock and evaluators take state locks, the reverse
-  /// of Subscribe's structure -> state order. Use FireEventDeferred there.
+  /// of Subscribe's structure -> state order. Release the state lock, then
+  /// fire.
   void FireEvent(MetadataProvider& provider, const MetadataKey& key);
-
-  /// Like FireEvent but runs asynchronously on the scheduler — for calls
-  /// from element-processing threads that hold node state locks exclusively.
-  /// It takes no structure lock: the handler is resolved through the
-  /// provider's registry alone.
-  void FireEventDeferred(MetadataProvider& provider, const MetadataKey& key);
 
   /// \brief Runs one update-propagation wave starting at `origin`: all
   /// transitive dependents reachable through triggered/on-demand handlers
@@ -419,7 +414,7 @@ class MetadataManager {
   /// its now-unneeded dependencies) when the last reference is gone.
   void UnsubscribeExternal(const std::shared_ptr<MetadataHandler>& handler);
 
-  /// Removes `handler` if it has neither external nor internal references.
+  /// Removes `handler` if it has neither external references nor dependents.
   void MaybeRemove(const std::shared_ptr<MetadataHandler>& handler)
       PIPES_REQUIRES(structure_mu_);
 

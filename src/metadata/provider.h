@@ -87,7 +87,7 @@ class MetadataProvider {
 
   std::string label_;      // pipes-analyze: unguarded(fixed at construction)
   uint64_t provider_id_;   // pipes-analyze: unguarded(fixed at construction)
-  MetadataRegistry registry_;  // pipes-analyze: unguarded(internally synchronized by its own mutex)
+  MetadataRegistry registry_;  // pipes-analyze: unguarded(internally synchronized: its mutex and the manager structure lock)
   std::atomic<MetadataManager*> manager_{nullptr};
   mutable ReentrantSharedMutex state_mu_{"MetadataProvider::state_mu",
                                          lockorder::kRankOperatorState};

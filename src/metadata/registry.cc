@@ -15,6 +15,13 @@ MetadataDurability* MetadataRegistry::Durability() const {
   return manager != nullptr ? manager->durability() : nullptr;
 }
 
+std::shared_lock<ReentrantSharedMutex> MetadataRegistry::HoldStructure() const {
+  MetadataManager* manager =
+      owner_ != nullptr ? owner_->metadata_manager() : nullptr;
+  if (manager == nullptr) return {};
+  return std::shared_lock<ReentrantSharedMutex>(manager->structure_mutex());
+}
+
 Status MetadataRegistry::Define(MetadataDescriptor desc) {
   if (MetadataDurability* d = Durability()) d->RegisterProvider(owner_);
   MetadataKey key = desc.key();
@@ -31,12 +38,13 @@ Status MetadataRegistry::Define(MetadataDescriptor desc) {
 Status MetadataRegistry::Redefine(MetadataDescriptor desc) {
   if (MetadataDurability* d = Durability()) d->RegisterProvider(owner_);
   MetadataKey key = desc.key();
+  auto structure = HoldStructure();  // keeps the item excluded until done
   MutexLock lock(mu_);
   auto it = descriptors_.find(key);
   if (it == descriptors_.end()) {
     return Status::NotFound("cannot redefine unknown metadata item: " + key);
   }
-  if (handlers_.count(key) > 0) {
+  if (structure && handlers_.count(key) > 0) {
     return Status::FailedPrecondition(
         "cannot redefine currently included metadata item: " + key);
   }
@@ -50,8 +58,9 @@ Status MetadataRegistry::Redefine(MetadataDescriptor desc) {
 Status MetadataRegistry::DefineOrRedefine(MetadataDescriptor desc) {
   if (MetadataDurability* d = Durability()) d->RegisterProvider(owner_);
   MetadataKey key = desc.key();
+  auto structure = HoldStructure();  // as in Redefine
   MutexLock lock(mu_);
-  if (handlers_.count(key) > 0) {
+  if (structure && handlers_.count(key) > 0) {
     return Status::FailedPrecondition(
         "cannot redefine currently included metadata item: " + key);
   }
@@ -62,8 +71,9 @@ Status MetadataRegistry::DefineOrRedefine(MetadataDescriptor desc) {
 }
 
 Status MetadataRegistry::Undefine(const MetadataKey& key) {
+  auto structure = HoldStructure();  // as in Redefine
   MutexLock lock(mu_);
-  if (handlers_.count(key) > 0) {
+  if (structure && handlers_.count(key) > 0) {
     return Status::FailedPrecondition(
         "cannot undefine currently included metadata item: " + key);
   }
@@ -96,55 +106,55 @@ std::vector<MetadataKey> MetadataRegistry::AvailableKeys() const {
 
 std::shared_ptr<MetadataHandler> MetadataRegistry::GetHandler(
     const MetadataKey& key) const {
-  MutexLock lock(mu_);
+  auto structure = HoldStructure();
+  if (!structure) return nullptr;
   auto it = handlers_.find(key);
   return it == handlers_.end() ? nullptr : it->second;
 }
 
 MetadataHandler* MetadataRegistry::FindIncluded(const MetadataKey& key) const {
-  MutexLock lock(mu_);
   auto it = handlers_.find(key);
   return it == handlers_.end() ? nullptr : it->second.get();
 }
 
 bool MetadataRegistry::IsIncluded(const MetadataKey& key) const {
-  MutexLock lock(mu_);
-  return handlers_.count(key) > 0;
+  auto structure = HoldStructure();
+  return structure && handlers_.count(key) > 0;
 }
 
 std::vector<MetadataKey> MetadataRegistry::IncludedKeys() const {
-  MutexLock lock(mu_);
+  auto structure = HoldStructure();
   std::vector<MetadataKey> keys;
+  if (!structure) return keys;
   keys.reserve(handlers_.size());
   for (const auto& [k, h] : handlers_) keys.push_back(k);
   return keys;
 }
 
 size_t MetadataRegistry::included_count() const {
-  MutexLock lock(mu_);
-  return handlers_.size();
+  auto structure = HoldStructure();
+  return structure ? handlers_.size() : 0;
 }
 
 void MetadataRegistry::AddHandler(const MetadataKey& key,
                                   std::shared_ptr<MetadataHandler> h) {
-  MutexLock lock(mu_);
   assert(handlers_.count(key) == 0);
   handlers_.emplace(key, std::move(h));
 }
 
 void MetadataRegistry::RemoveHandler(const MetadataKey& key) {
-  MutexLock lock(mu_);
   handlers_.erase(key);
 }
 
 void MetadataRegistry::RetireAllHandlers() {
   std::vector<std::shared_ptr<MetadataHandler>> retired;
   {
-    MutexLock lock(mu_);
+    auto structure = HoldStructure();
+    if (!structure) return;
     retired.reserve(handlers_.size());
     for (const auto& [k, h] : handlers_) retired.push_back(h);
   }
-  // Outside the registry lock: Retire cancels scheduler tasks.
+  // Outside the structure lock: Retire cancels scheduler tasks.
   for (const auto& h : retired) h->Retire();
 }
 

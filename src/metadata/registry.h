@@ -10,10 +10,12 @@
 
 #include <map>
 #include <memory>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/reentrant_shared_mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "metadata/descriptor.h"
@@ -27,8 +29,12 @@ class MetadataProvider;
 /// \brief Holds the metadata descriptors (available items) and the active
 /// handlers (included items) of one provider.
 ///
-/// Thread safety: all methods are internally synchronized; structural
-/// consistency across providers is the MetadataManager's responsibility.
+/// Thread safety: all public methods are safe to call concurrently. The
+/// registry mutex guards the descriptors; the handler table is graph state
+/// under the structure lock of the owner's manager. The handler readers,
+/// Redefine, DefineOrRedefine and Undefine take that lock shared, so, like
+/// MetadataManager::FireEvent, they must not run under an exclusively held
+/// provider state lock.
 class MetadataRegistry {
  public:
   MetadataRegistry() = default;
@@ -67,9 +73,9 @@ class MetadataRegistry {
   /// The active handler for `key`, or nullptr when the item is not included.
   std::shared_ptr<MetadataHandler> GetHandler(const MetadataKey& key) const;
 
-  /// Like GetHandler, without taking a reference: for a caller holding the
-  /// manager's structure lock, under which the handler stays included, and
-  /// so alive, because entries leave only under its exclusive hold.
+  /// Like GetHandler, without taking a reference or a lock: for a caller
+  /// holding the manager's structure lock (any level), which keeps the
+  /// handler included, and so alive.
   MetadataHandler* FindIncluded(const MetadataKey& key) const;
 
   /// True iff the item currently has a handler.
@@ -81,16 +87,15 @@ class MetadataRegistry {
   /// Number of active handlers.
   size_t included_count() const;
 
-  // --- internal (used by MetadataManager) -----------------------------------
+  // --- internal (used by MetadataManager, under its exclusive structure lock)
   void AddHandler(const MetadataKey& key, std::shared_ptr<MetadataHandler> h);
   void RemoveHandler(const MetadataKey& key);
 
-  /// Ties this registry to the provider that owns it. Definition changes
-  /// reach the journal through the provider's manager, with the provider's
-  /// identity, when durability is on; they need the manager for nothing
-  /// else, since they touch only items that are not included, which no
-  /// handler or wave plan refers to. Called once from the MetadataProvider
-  /// constructor (before the registry is visible to any other thread).
+  /// Ties this registry to the provider that owns it, whose manager's
+  /// structure lock guards the handler table, and through which definition
+  /// changes reach the journal, with the provider's identity, when
+  /// durability is on. Called once from the MetadataProvider constructor
+  /// (before the registry is visible to any other thread).
   void AttachOwner(const MetadataProvider* owner) { owner_ = owner; }
 
   /// Retires every still-included handler (provider teardown): cancels their
@@ -110,11 +115,15 @@ class MetadataRegistry {
   /// nests inside the registry lock, rank 570).
   MetadataDurability* Durability() const;
 
+  /// A shared hold of the owner's manager's structure lock, the guard of
+  /// `handlers_`; empty while no manager is attached (nothing is included).
+  std::shared_lock<ReentrantSharedMutex> HoldStructure() const;
+
   mutable Mutex mu_{"MetadataRegistry::mu", lockorder::kRankRegistry};
   std::map<MetadataKey, std::shared_ptr<const MetadataDescriptor>> descriptors_
       PIPES_GUARDED_BY(mu_);
-  std::map<MetadataKey, std::shared_ptr<MetadataHandler>> handlers_
-      PIPES_GUARDED_BY(mu_);
+  // pipes-analyze: unguarded(MetadataManager structure lock)
+  std::map<MetadataKey, std::shared_ptr<MetadataHandler>> handlers_;
   /// The owning provider (set once at construction, before concurrency).
   const MetadataProvider* owner_ = nullptr;
 };

@@ -290,7 +290,7 @@ class MetadataFederationServer {
 
   MetadataManager& manager_;
   /// Owner of the per-peer export items.
-  MetadataProvider exports_provider_{"__federation__"};  // pipes-analyze: unguarded(internally synchronized by its registry's own mutex)
+  MetadataProvider exports_provider_{"__federation__"};  // pipes-analyze: unguarded(internally synchronized, like every provider)
 
   /// Server-side federation state (peer roster, export table). Same rank as
   /// the client lock: held while defining/subscribing export items.

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "metadata/handler.h"
+#include "metadata/manager.h"
 
 namespace pipes {
 
@@ -19,9 +20,13 @@ std::string SystemProfiler::DumpProvider(const MetadataProvider& provider,
     os << pad << "  " << key << " [" << UpdateMechanismToString(desc->mechanism())
        << "]";
     if (handler != nullptr) {
+      // The reference counts change under the exclusive structure lock, so
+      // they are read under a shared hold, which Get() (it may evaluate)
+      // stays out of.
+      std::string value = handler->Get().ToString();
+      SharedLock structure(provider.metadata_manager()->structure_mutex());
       os << " included refs=" << handler->external_refs() << "+"
-         << handler->internal_refs()
-         << " value=" << handler->Get().ToString()
+         << handler->internal_refs() << " value=" << value
          << " evals=" << handler->eval_count()
          << " updates=" << handler->update_count();
     } else {

@@ -36,6 +36,7 @@ TEST(ShardedCounterTest, ValueIsExactAfterWritersJoin) {
 
 TEST(ShardedCounterTest, ValueNeverDecreasesWhileWritersRun) {
   ShardedCounter c;
+  std::atomic<bool> started{false};
   std::atomic<bool> done{false};
   uint64_t reads = 0;
   uint64_t regressions = 0;
@@ -49,8 +50,12 @@ TEST(ShardedCounterTest, ValueNeverDecreasesWhileWritersRun) {
       if (v < last) ++regressions;
       last = v;
       ++reads;
+      started.store(true, std::memory_order_release);
     }
   });
+  // The writers start only once the reader has read, so at least one read
+  // comes before `done` and one after, however late the reader is scheduled.
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   RunWriters(c);
   done.store(true, std::memory_order_release);
   reader.join();

@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/reentrant_shared_mutex.h"
+#include "common/lock_order.h"
 #include "metadata/handler.h"
 #include "metadata/probes.h"
 #include "test_support.h"
@@ -210,9 +210,12 @@ TEST(MetadataConcurrencyTest, ConcurrentWavesWithStructureChurn) {
   // bumping the structure epoch twice a round, and redefines that item
   // while it is excluded, which keeps every plan. So each origin's waves
   // keep rebuilding and installing its plan, and the churner's exclusive
-  // holds free the plans they replaced. Each origin has one firing thread;
-  // SameOriginWavesConvergeToTheLastInput races rebuilds of one origin. Run
-  // under TSan this exercises steady walks, rebuilds and reclamation.
+  // holds free the plans they replaced. A reader thread meanwhile reads the
+  // churned providers' handler tables, which the churner writes, and
+  // redefines and undefines an item that is never included. Each origin has
+  // one firing thread; SameOriginWavesConvergeToTheLastInput races rebuilds
+  // of one origin. Run under TSan this exercises steady walks, rebuilds,
+  // reclamation and the handler table's one guard, the structure lock.
   ThreadPoolScheduler scheduler(4);
   MetadataManager manager(scheduler);
   constexpr int kOrigins = 4;
@@ -237,6 +240,7 @@ TEST(MetadataConcurrencyTest, ConcurrentWavesWithStructureChurn) {
                     .ok());
     ASSERT_TRUE(
         reg.Define(MetadataDescriptor::Static("churn", 1.0)).ok());
+    ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("spare", 1.0)).ok());
     auto sub = manager.Subscribe(*p, "t");
     ASSERT_TRUE(sub.ok());
     subs.push_back(std::move(sub.value()));
@@ -261,6 +265,22 @@ TEST(MetadataConcurrencyTest, ConcurrentWavesWithStructureChurn) {
       ++round;
     }
   });
+  std::thread reader([&] {
+    int round = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      MetadataRegistry& reg = providers[round % kOrigins]->metadata_registry();
+      EXPECT_NE(reg.GetHandler("t"), nullptr);
+      EXPECT_TRUE(reg.IsIncluded("s"));
+      EXPECT_FALSE(reg.IsIncluded("spare"));
+      EXPECT_GE(reg.IncludedKeys().size(), 2u);
+      EXPECT_GE(reg.included_count(), 2u);
+      EXPECT_TRUE(reg.Redefine(MetadataDescriptor::Static("spare", 2.0)).ok());
+      EXPECT_TRUE(reg.Undefine("spare").ok());
+      EXPECT_TRUE(
+          reg.DefineOrRedefine(MetadataDescriptor::Static("spare", 1.0)).ok());
+      ++round;
+    }
+  });
 
   std::vector<std::thread> firers;
   for (int i = 0; i < kOrigins; ++i) {
@@ -274,6 +294,7 @@ TEST(MetadataConcurrencyTest, ConcurrentWavesWithStructureChurn) {
   for (auto& t : firers) t.join();
   stop.store(true, std::memory_order_release);
   churner.join();
+  reader.join();
 
   MetadataManagerStats st = manager.stats();
   EXPECT_EQ(st.events_fired,
@@ -644,12 +665,12 @@ TEST(MetadataConcurrencyTest, HealthGaugesAgreeUnderConcurrentFaults) {
   EXPECT_EQ(st.quarantined_handlers, 0u);
 }
 
-TEST(ReentrantLockMetadataTest, EvaluatorMayTakeStateLockHeldByFiringThread) {
-  // A processing thread holds the node's state lock exclusively, mutates
-  // state, and fires a metadata event whose triggered evaluator takes the
-  // same lock shared. Firing synchronously would take the structure lock
-  // under the state lock, the reverse of Subscribe's order, so such threads
-  // fire deferred: the wave runs once the state lock is released.
+TEST(ReentrantLockMetadataTest, FiringThreadReleasesStateLockBeforeFiring) {
+  // A processing thread holds the node's state lock exclusively while it
+  // mutates state, releases it, then fires; the triggered evaluator takes
+  // the same lock shared. Firing takes the structure lock, which ranks
+  // before the state lock, so the thread must not fire while still holding
+  // the state lock.
   VirtualTimeScheduler scheduler;
   MetadataManager manager(scheduler);
   SimpleProvider p("op");
@@ -671,15 +692,69 @@ TEST(ReentrantLockMetadataTest, EvaluatorMayTakeStateLockHeldByFiringThread) {
                   .ok());
   auto sub = manager.Subscribe(p, "t");
   ASSERT_TRUE(sub.ok());
+  std::size_t violations_before = lockorder::LockOrderValidator::Instance()
+                                   .violation_count();
 
   {
     ExclusiveLock processing(p.state_mutex());
     state = 7.0;
-    manager.FireEventDeferred(p, "s");  // takes no structure lock
   }
-  ASSERT_TRUE(scheduler.RunNext());
+  manager.FireEvent(p, "s");
   EXPECT_EQ(sub->Get().AsDouble(), 7.0);
+  EXPECT_EQ(manager.stats().events_fired, 1u);
+  EXPECT_EQ(lockorder::LockOrderValidator::Instance().violation_count(),
+            violations_before);
 }
+
+#if PIPES_LOCK_ORDER_CHECKS
+TEST(ReentrantLockMetadataTest, NestedEventTakesNoRegistryLockUnderEvalLock) {
+  // An evaluator that fires an event holds its handler's eval_mu. The
+  // handler table is graph state under the structure lock, so FireEvent's
+  // lookup nests no registry lock inside the handler lock.
+  auto& validator = lockorder::LockOrderValidator::Instance();
+  ASSERT_TRUE(validator.enabled());
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  int64_t state = 1;
+  bool armed = false;
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("sb").WithEvaluator(
+                  [&state](EvalContext&) { return MetadataValue(state); }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("tb")
+                             .DependsOnSelf("sb")
+                             .WithEvaluator([](EvalContext& ctx) {
+                               return ctx.Dep(0);
+                             }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("sa").WithEvaluator(
+                  [&state](EvalContext&) { return MetadataValue(state); }))
+                  .ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("ta")
+                             .DependsOnSelf("sa")
+                             .WithEvaluator([&](EvalContext& ctx) {
+                               if (armed) fx.manager.FireEvent(p, "sb");
+                               return ctx.Dep(0);
+                             }))
+                  .ok());
+  auto sub_b = fx.manager.Subscribe(p, "tb");
+  auto sub_a = fx.manager.Subscribe(p, "ta");
+  ASSERT_TRUE(sub_b.ok());
+  ASSERT_TRUE(sub_a.ok());
+  armed = true;
+
+  state = 42;
+  fx.manager.FireEvent(p, "sa");
+  ASSERT_EQ(sub_b->Get().AsInt(), 42) << "the nested event must have run";
+
+  for (const lockorder::LockOrderEdge& e : validator.edges()) {
+    EXPECT_FALSE(e.from == "MetadataHandler::eval_mu" &&
+                 e.to == "MetadataRegistry::mu")
+        << "registry lock taken under a handler lock";
+  }
+  EXPECT_EQ(validator.violation_count(), 0u);
+}
+#endif  // PIPES_LOCK_ORDER_CHECKS
 
 }  // namespace
 }  // namespace pipes

@@ -271,63 +271,6 @@ TEST(LifecycleTest, PeriodicTaskStopsWhenProviderDies) {
   EXPECT_EQ(sub.GetDouble(), 3.0);
 }
 
-TEST(LifecycleTest, DeferredEventSurvivesProviderTeardown) {
-  // Regression: FireEventDeferred used to capture a raw MetadataProvider*
-  // into the scheduler task; tearing the provider down before the task ran
-  // made the deferred FireEvent dereference freed memory. The event must be
-  // dropped instead, and subscriptions must keep serving frozen values.
-  MetaFixture fx;
-  auto t_evals = std::make_shared<int>(0);
-  MetadataSubscription sub;
-  {
-    SimpleProvider p("p");
-    auto& reg = p.metadata_registry();
-    ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("s").WithEvaluator(
-                               [](EvalContext&) { return MetadataValue(1.0); }))
-                    .ok());
-    ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("t")
-                               .DependsOnSelf("s")
-                               .WithEvaluator([t_evals](EvalContext& ctx) {
-                                 ++*t_evals;
-                                 return ctx.Dep(0);
-                               }))
-                    .ok());
-    sub = fx.manager.Subscribe(p, "t").value();
-    EXPECT_EQ(*t_evals, 1);  // activation
-    fx.manager.FireEventDeferred(p, "s");
-  }  // provider destroyed before the deferred task runs
-  uint64_t events_before = fx.manager.stats().events_fired;
-  fx.RunFor(100);  // runs the deferred task against the dead provider
-  EXPECT_EQ(*t_evals, 1) << "no refresh may fire into the dead provider";
-  EXPECT_EQ(fx.manager.stats().events_fired, events_before)
-      << "the orphaned event must be dropped, not counted";
-  EXPECT_EQ(sub.GetDouble(), 1.0);
-}
-
-TEST(LifecycleTest, DeferredEventFiresWhenProviderStaysAlive) {
-  MetaFixture fx;
-  SimpleProvider p("p");
-  auto& reg = p.metadata_registry();
-  auto t_evals = std::make_shared<int>(0);
-  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("s").WithEvaluator(
-                             [](EvalContext&) { return MetadataValue(1.0); }))
-                  .ok());
-  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("t")
-                             .DependsOnSelf("s")
-                             .WithEvaluator([t_evals](EvalContext& ctx) {
-                               ++*t_evals;
-                               return ctx.Dep(0);
-                             }))
-                  .ok());
-  auto sub = fx.manager.Subscribe(p, "t").value();
-  EXPECT_EQ(*t_evals, 1);
-  fx.manager.FireEventDeferred(p, "s");
-  EXPECT_EQ(*t_evals, 1) << "deferred: nothing fires synchronously";
-  fx.RunFor(100);
-  EXPECT_EQ(*t_evals, 2);
-  EXPECT_EQ(fx.manager.stats().events_fired, 1u);
-}
-
 TEST(LifecycleTest, PeriodicZeroUpdatesWhenNeverIncluded) {
   MetaFixture fx;
   SimpleProvider p("p");

@@ -229,29 +229,6 @@ TEST(PropagationTest, FireEventOnNotIncludedItemIsNoop) {
   EXPECT_EQ(fx.manager.stats().events_fired, 0u);
 }
 
-TEST(PropagationTest, DeferredEventRunsViaScheduler) {
-  MetaFixture fx;
-  SimpleProvider p("p");
-  auto& reg = p.metadata_registry();
-  double state = 1.0;
-  ASSERT_TRUE(reg.Define(MetadataDescriptor::OnDemand("s").WithEvaluator(
-                  [&state](EvalContext&) { return MetadataValue(state); }))
-                  .ok());
-  auto log = std::make_shared<std::vector<std::string>>();
-  ASSERT_TRUE(reg.Define(LoggingTriggered("t", {"s"}, log)).ok());
-  auto sub = fx.manager.Subscribe(p, "t");
-  ASSERT_TRUE(sub.ok());
-  EXPECT_EQ(sub->Get().AsDouble(), 1.0);
-
-  state = 2.0;
-  fx.manager.FireEventDeferred(p, "s");
-  EXPECT_EQ(sub->Get().AsDouble(), 1.0);  // not yet: queued on the scheduler
-  fx.RunFor(1);
-  EXPECT_EQ(sub->Get().AsDouble(), 1.0);  // logging evaluator returns 1.0
-  // The wave did run:
-  EXPECT_EQ(fx.manager.stats().events_fired, 1u);
-}
-
 TEST(PropagationTest, WaveStatisticsAreCounted) {
   MetaFixture fx;
   SimpleProvider p("p");

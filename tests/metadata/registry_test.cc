@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "metadata/handler.h"
 #include "metadata/registry.h"
 #include "test_support.h"
@@ -104,6 +106,66 @@ TEST(RegistryTest, DefineOrRedefineUpserts) {
   ASSERT_TRUE(reg.DefineOrRedefine(MetadataDescriptor::Static("a", 1)).ok());
   ASSERT_TRUE(reg.DefineOrRedefine(MetadataDescriptor::Static("a", 5)).ok());
   EXPECT_EQ(reg.Find("a")->static_value().AsInt(), 5);
+}
+
+TEST(RegistryTest, WithoutManagerNothingIsIncluded) {
+  // The handler table's guard is the structure lock of the owner's manager.
+  // A registry with no owner, or whose owner has no manager yet, has no lock
+  // to take and nothing included: its readers see an empty table and its
+  // definitions change freely.
+  MetadataRegistry bare;
+  SimpleProvider p("p");
+  ASSERT_EQ(p.metadata_manager(), nullptr);
+  for (MetadataRegistry* reg : {&bare, &p.metadata_registry()}) {
+    ASSERT_TRUE(reg->Define(MetadataDescriptor::Static("a", 1)).ok());
+    EXPECT_EQ(reg->GetHandler("a"), nullptr);
+    EXPECT_FALSE(reg->IsIncluded("a"));
+    EXPECT_TRUE(reg->IncludedKeys().empty());
+    EXPECT_EQ(reg->included_count(), 0u);
+    EXPECT_TRUE(reg->Redefine(MetadataDescriptor::Static("a", 2)).ok());
+    EXPECT_TRUE(reg->DefineOrRedefine(MetadataDescriptor::Static("a", 3)).ok());
+    EXPECT_EQ(reg->Find("a")->static_value().AsInt(), 3);
+    EXPECT_TRUE(reg->Undefine("a").ok());
+    EXPECT_FALSE(reg->IsAvailable("a"));
+  }
+}
+
+TEST(RegistryTest, HandlerReadersNestInsideTheStructureLock) {
+  // An evaluator runs under the structure lock: exclusively held when
+  // Subscribe activates it, shared during a wave. The handler readers take
+  // that lock shared themselves, so from an evaluator they nest a level on
+  // the caller's hold instead of blocking on it.
+  MetaFixture fx;
+  SimpleProvider p("p");
+  auto& reg = p.metadata_registry();
+  struct Seen {
+    bool self_included;
+    bool dep_handler;
+    size_t keys;
+    size_t count;
+  };
+  std::vector<Seen> seen;
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Static("s", 1)).ok());
+  ASSERT_TRUE(reg.Define(MetadataDescriptor::Triggered("t")
+                             .DependsOnSelf("s")
+                             .WithEvaluator([&](EvalContext& ctx) {
+                               seen.push_back({reg.IsIncluded("t"),
+                                               reg.GetHandler("s") != nullptr,
+                                               reg.IncludedKeys().size(),
+                                               reg.included_count()});
+                               return ctx.Dep(0);
+                             }))
+                  .ok());
+  auto sub = fx.manager.Subscribe(p, "t");  // activation: exclusive hold
+  ASSERT_TRUE(sub.ok());
+  fx.manager.FireEvent(p, "s");  // wave: shared hold
+  ASSERT_EQ(seen.size(), 2u);
+  for (const Seen& s : seen) {
+    EXPECT_TRUE(s.self_included);
+    EXPECT_TRUE(s.dep_handler);
+    EXPECT_EQ(s.keys, 2u);
+    EXPECT_EQ(s.count, 2u);
+  }
 }
 
 // Metadata inheritance (paper §4.4.2): a subclass inherits items and may

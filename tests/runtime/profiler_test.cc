@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <string>
+#include <thread>
 
 #include "runtime/profiler.h"
 #include "stream/operators/basic.h"
@@ -98,6 +101,36 @@ TEST(ProfilerTest, DotExportEmptyWhenNothingIncluded) {
   auto src = engine.graph().AddNode<ManualSource>("src", PairSchema());
   std::string dot = SystemProfiler::DumpDependencyGraphDot(engine.graph());
   EXPECT_EQ(dot.find("cluster_"), std::string::npos);
+}
+
+TEST(ProfilerTest, DumpReadsReferenceCountsBesideSubscriptionChurn) {
+  // Subscribe and unsubscribe change an included item's reference counts
+  // under the exclusive structure lock, while a dump reads them on another
+  // thread. Run under TSan this checks that the dump reads them under the
+  // structure lock too.
+  StreamEngine engine;
+  auto src = engine.graph().AddNode<ManualSource>("src", PairSchema());
+  auto keep = engine.metadata().Subscribe(*src, keys::kSchema);
+  ASSERT_TRUE(keep.ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> rounds{0};  // relaxed: orders nothing between the threads
+  std::thread churner([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      EXPECT_TRUE(engine.metadata().Subscribe(*src, keys::kSchema).ok());
+      rounds.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  // Dump until the churner has run 5000 rounds, so the two overlap often
+  // enough for TSan to catch an unguarded read in nearly every run.
+  while (rounds.load(std::memory_order_relaxed) < 5000) {
+    std::string dump = SystemProfiler::DumpProvider(*src);
+    EXPECT_NE(dump.find("schema [static] included refs="), std::string::npos);
+  }
+  stop.store(true, std::memory_order_release);
+  churner.join();
+  EXPECT_NE(SystemProfiler::DumpProvider(*src).find("included refs=1+0"),
+            std::string::npos);
 }
 
 }  // namespace
